@@ -6,6 +6,7 @@ algebra, Gaussian-kernel Chernoff products, ferromagnetic Gaussian spins
 with Trotter splitting, and a Monte Carlo cross-validation oracle.
 """
 
+from . import chernoff, moments, zonal
 from .algebra import (
     GAUSSIAN,
     SPHERE,
@@ -69,3 +70,10 @@ from .wick import pairings, vector_moment, wick_sum
 from .zonal import gegenbauer, gegenbauer_coefficients, laplace_eigenvalue
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps, so the next computation runs cold."""
+    moments.clear_caches()  # also the Isserlis chain memos
+    chernoff._node_cache.clear()
+    zonal.gegenbauer_coefficients.cache_clear()

@@ -37,6 +37,11 @@ Coeff = Union[Fraction, int, str]
 CONST_MONO: Mono = ()
 
 
+def _is_int(value: object) -> bool:
+    """True for integers proper; JSON ``true``/``false`` arrive as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def frac(value: Coeff) -> Fraction:
     """Coerce to Fraction, mapping parse failures to :class:`InputError`."""
     if isinstance(value, Fraction):
@@ -59,15 +64,15 @@ class ModelDims:
     sites: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InputError(f"ambient dimension must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.sites, int) or self.sites < 1:
+        if not _is_int(self.sites) or self.sites < 1:
             raise InputError(f"site count must be an integer >= 1, got {self.sites!r}")
 
 
 def validate_pair(dims: ModelDims, mode: str, i: int, j: int) -> Pair:
     """Normalize a site pair to (min, max) and enforce the mode's constraints."""
-    if not (isinstance(i, int) and isinstance(j, int)):
+    if not (_is_int(i) and _is_int(j)):
         raise InputError(f"site indices must be integers, got ({i!r}, {j!r})")
     if not (1 <= i <= dims.sites and 1 <= j <= dims.sites):
         raise InputError(f"site pair ({i}, {j}) out of range 1..{dims.sites}")
@@ -89,7 +94,7 @@ def make_mono(
     items = powers.items() if isinstance(powers, Mapping) else powers
     table: dict[Pair, int] = {}
     for (i, j), p in items:
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise InputError(f"exponent must be an integer, got {p!r}")
         if p < 0:
             raise InputError(f"negative exponent {p} on pair ({i}, {j})")

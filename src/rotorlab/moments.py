@@ -4,7 +4,13 @@
 normalized surface measures by eliminating one site at a time: the factors
 attached to the chosen site are converted to a Gaussian integral, summed
 over pairings of the partner spins, and divided by the radial moment of the
-degree that the conversion introduced.  ``sphere_moment_oracle`` computes
+degree that the conversion introduced.  The elimination runs in integers:
+per monomial it carries N = R * S, where S is the sphere moment and R the
+product of the radial moments of its site degrees.  N is the monomial's
+identity-covariance Gaussian moment, so it is an integer, and one
+``Fraction(N, R)`` is built per monomial at the end.  ``eliminate_site``
+shares the same integer kernel and divides by the radial moment once per
+monomial.  ``sphere_moment_oracle`` computes
 the same quantity along an entirely different route (one global Isserlis
 sum over all sites at once, normalized by the per-site radial moments) and
 exists purely to cross-check the elimination engine.
@@ -37,11 +43,11 @@ from .algebra import (
     site_degrees,
     validate_pair,
 )
-from .errors import InputError
+from .errors import InputError, NumericError
 
 
 @lru_cache(maxsize=None)
-def radial_moment(n: int, d: int) -> Fraction:
+def radial_moment(n: int, d: int) -> int:
     """E |x|^d for a standard Gaussian vector in R^n: n(n+2)...(n+d-2).
 
     Exact product form of the chi-square moments, so no Gamma functions ever
@@ -49,7 +55,7 @@ def radial_moment(n: int, d: int) -> Fraction:
     """
     if d < 0 or d % 2:
         raise InputError(f"radial moments need even degree >= 0, got {d}")
-    out = Fraction(1)
+    out = 1
     for j in range(d // 2):
         out *= n + 2 * j
     return out
@@ -85,8 +91,12 @@ def _partner_pairing_sum(labels: tuple[int, ...]) -> tuple[tuple[Mono, int], ...
     return tuple(sorted(out.items()))
 
 
-def _eliminate_mono(mono: Mono, k: int, n: int) -> list[tuple[Mono, Fraction]]:
-    """Integrate site k out of one monomial; empty list when parity kills it."""
+def _eliminate_mono(mono: Mono, k: int) -> tuple[int, list[tuple[Mono, int]]]:
+    """Integrate site k out of one monomial, up to the radial moment.
+
+    Returns the degree d of site k and integer terms: the partial integral is
+    sum(mult * m') / radial_moment(n, d).  No terms when d is odd.
+    """
     partners: list[int] = []
     rest: list[tuple[Pair, int]] = []
     for (i, j), p in mono:
@@ -98,13 +108,13 @@ def _eliminate_mono(mono: Mono, k: int, n: int) -> list[tuple[Mono, Fraction]]:
             rest.append(((i, j), p))
     degree = len(partners)
     if degree == 0:
-        return [(mono, Fraction(1))]
+        return 0, [(mono, 1)]
     if degree % 2:
-        return []
-    scale = Fraction(1) / radial_moment(n, degree)
+        return degree, []
+    wick.require_depth(degree // 2, f"pairing the {degree} partners of site {k}")
     rest_mono = tuple(rest)
-    return [
-        (mono_mul(rest_mono, frag), scale * mult)
+    return degree, [
+        (mono_mul(rest_mono, frag), mult)
         for frag, mult in _partner_pairing_sum(tuple(sorted(partners)))
     ]
 
@@ -117,8 +127,12 @@ def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
         raise InputError(f"site {k} out of range 1..{p.dims.sites}")
     table: dict[Mono, Fraction] = {}
     for mono, coeff in p.terms.items():
-        for new_mono, weight in _eliminate_mono(mono, k, p.dims.n):
-            merged = table.get(new_mono, Fraction(0)) + coeff * weight
+        degree, terms = _eliminate_mono(mono, k)
+        if not terms:  # odd degree at site k
+            continue
+        scaled = coeff / radial_moment(p.dims.n, degree)
+        for new_mono, mult in terms:
+            merged = table.get(new_mono, Fraction(0)) + scaled * mult
             if merged:
                 table[new_mono] = merged
             elif new_mono in table:
@@ -127,22 +141,37 @@ def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _mono_moment(mono: Mono, n: int) -> Fraction:
-    # mono arrives renumbered; eliminating the lowest-degree site first keeps
-    # the pairing sums small.
+def _mono_moment(mono: Mono, n: int) -> tuple[int, int]:
+    """(N, R) with R = prod radial_moment(n, d_i) and N = R * sphere moment.
+
+    N is the monomial's identity-covariance Gaussian moment, an integer, so
+    the elimination below runs in integers.  A child m' of m lowers every
+    site degree by an even amount, so R_rest // R(m') is exact, R_rest being
+    R without the eliminated site's factor.
+    """
     if not mono:
-        return Fraction(1)
+        return 1, 1
     degs: dict[int, int] = {}
     for (i, j), p in mono:
         degs[i] = degs.get(i, 0) + p
         degs[j] = degs.get(j, 0) + p
     if any(d % 2 for d in degs.values()):
-        return Fraction(0)
+        return 0, 1
+    # one frame per site still to eliminate, plus the deepest pairing sum;
+    # site degrees never grow under elimination
+    top = max(degs.values())
+    wick.require_depth(len(degs) + top // 2, f"eliminating {len(degs)} sites of degree up to {top}")
+    radial = 1
+    for d in degs.values():
+        radial *= radial_moment(n, d)
+    # eliminating the lowest-degree site first keeps the pairing sums small
     site = min(degs, key=lambda s: (degs[s], s))
-    total = Fraction(0)
-    for new_mono, weight in _eliminate_mono(mono, site, n):
-        total += weight * _mono_moment(renumber_mono(new_mono), n)
-    return total
+    rest_radial = radial // radial_moment(n, degs[site])
+    total = 0
+    for new_mono, mult in _eliminate_mono(mono, site)[1]:
+        sub, sub_radial = _mono_moment(renumber_mono(new_mono), n)
+        total += mult * (rest_radial // sub_radial) * sub
+    return total, radial
 
 
 def sphere_moment(p: DotPolynomial) -> Fraction:
@@ -151,7 +180,8 @@ def sphere_moment(p: DotPolynomial) -> Fraction:
         raise InputError("sphere_moment acts on sphere-mode polynomials")
     total = Fraction(0)
     for mono, coeff in p.terms.items():
-        total += coeff * _mono_moment(renumber_mono(mono), p.dims.n)
+        scaled, radial = _mono_moment(renumber_mono(mono), p.dims.n)
+        total += coeff * Fraction(scaled, radial)
     return total
 
 
@@ -175,7 +205,7 @@ def sphere_moment_oracle(mono: Mono, dims: ModelDims) -> Fraction:
     for (i, j), p in compact:
         factors.extend([(i - 1, j - 1)] * p)
     gauss = wick.vector_moment(factors, identity, dims.n)
-    norm = Fraction(1)
+    norm = 1
     for d in site_degrees(compact, ModelDims(dims.n, size)):
         norm *= radial_moment(dims.n, d)
     return gauss / norm
@@ -233,15 +263,35 @@ def interacting_moment(
         partition += sphere_moment(power) / k_factorial
         numerator += sphere_moment(p * power) / k_factorial
 
-    strength_sum = float(weight.coefficient_sum())
-    tau = (
-        math.exp(strength_sum)
-        * strength_sum ** (order + 1)
-        / math.factorial(order + 1)
-    )
     value = numerator / partition
-    gap = tau * (float(p.coefficient_sum()) + float(value))
+    gap = _tail_gap(weight.coefficient_sum(), order, p.coefficient_sum(), value)
     return InteractingMoment(value, gap, numerator, partition, order)
+
+
+def _tail_gap(strength_sum: Fraction, order: int, p_sum: Fraction, value: Fraction) -> float:
+    """tau * (p_sum + value) with tau = e^S S^(K+1)/(K+1)!, as a float.
+
+    tau is evaluated directly where no factor overflows, and in log space
+    where one does but tau itself may fit.  NumericError when the bound
+    exceeds the float range.
+    """
+    try:
+        s = float(strength_sum)
+        try:
+            tau = math.exp(s) * s ** (order + 1) / math.factorial(order + 1)
+        except OverflowError:
+            tau = math.inf
+        if math.isinf(tau):
+            tau = math.exp(s + (order + 1) * math.log(s) - math.lgamma(order + 2)) if s else 0.0
+        gap = tau * (float(p_sum) + float(value))
+    except OverflowError:
+        gap = math.inf
+    if math.isinf(gap):
+        raise NumericError(
+            f"tail bound at coupling sum {strength_sum} and truncation order {order} "
+            "exceeds the float range"
+        )
+    return gap
 
 
 def clear_caches() -> None:

@@ -2,8 +2,9 @@
 
 Two layers live here.  ``pairings``/``wick_sum`` enumerate perfect matchings
 of an explicit label sequence by recursive first-element pairing, which
-visits every matching exactly once; they power the site-elimination step of
-the sphere moment engine.
+visits every matching exactly once.  They are general-purpose helpers; the
+sphere engine's site elimination does not use them, since
+``moments._partner_pairing_sum`` runs its own grouped recursion.
 
 ``vector_moment`` evaluates E prod (x_a . x_b) for centred jointly-Gaussian
 vectors in R^n with covariance C per component (full covariance C tensor
@@ -15,18 +16,36 @@ factors into closed loops, each loop contributing one free component index
 opened at the first remaining factor, extended one factor at a time, and
 closed against its starting end, so each matching is generated once and the
 loop count is known for free.  States repeat heavily, hence the memo.
+
+The walk runs in integers.  The covariance is scaled by D, the lcm of its
+entries' denominators; every term of the sum is a product of exactly one
+covariance entry per factor, so the integer total over k factors divided by
+D^k is the exact moment, and one ``Fraction`` is built per call.  Chain
+states are memoised per (scaled covariance, n), and only the
+:data:`MEMO_SLOTS` most recently used covariances keep their memo.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence, TypeVar
+
+from .errors import ResourceLimitError
 
 T = TypeVar("T")
 
 Pair0 = tuple[int, int]  # 0-based site pair
-CovMatrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
+
+# The recursions here and in `moments` nest one Python frame per step.  They
+# stay within this many frames, which leaves most of the interpreter's
+# default limit of 1000 to their callers.
+RECURSION_BUDGET = 400
+# Chain memos are kept for this many (scaled covariance, n) keys, most recent last.
+MEMO_SLOTS = 8
+_memos: OrderedDict[tuple[IntMatrix, int], dict] = OrderedDict()
 
 
 def pairings(labels: Sequence[T]) -> Iterator[list[tuple[T, T]]]:
@@ -72,37 +91,52 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def _freeze_cov(cov: Sequence[Sequence[object]]) -> CovMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in cov)
+def require_depth(frames: int, what: str) -> None:
+    """Refuse a recursion that would nest deeper than :data:`RECURSION_BUDGET`."""
+    if frames > RECURSION_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs about {frames} nested calls, above the limit of {RECURSION_BUDGET}"
+        )
 
 
-@lru_cache(maxsize=None)
-def _chain_value(
+def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
+    """Integer matrix D * cov and D, the lcm of the entries' denominators."""
+    rows = [[Fraction(x) for x in row] for row in cov]
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
+
+
+def _chain_sum(
     remaining: tuple[Pair0, ...],
     chain: Pair0 | None,
-    cov: CovMatrix,
+    cov: IntMatrix,
     n: int,
-) -> Fraction:
+    memo: dict[tuple[tuple[Pair0, ...], Pair0 | None], int],
+) -> int:
+    key = (remaining, chain)
+    found = memo.get(key)
+    if found is not None:
+        return found
     # `remaining` is sorted, so remaining[0] is the designated loop opener;
     # fixing its orientation prevents counting each loop in both directions.
     if chain is None:
-        if not remaining:
-            return Fraction(1)
-        return _chain_value(remaining[1:], remaining[0], cov, n)
-    p, q = chain
-    total = n * cov[p][q] * _chain_value(remaining, None, cov, n)
-    index = 0
-    while index < len(remaining):
-        a, b = remaining[index]
-        count = 1
-        while index + count < len(remaining) and remaining[index + count] == (a, b):
-            count += 1
-        rest = remaining[:index] + remaining[index + 1:]  # drop one copy, stays sorted
-        if cov[q][a]:
-            total += count * cov[q][a] * _chain_value(rest, (p, b), cov, n)
-        if cov[q][b]:
-            total += count * cov[q][b] * _chain_value(rest, (p, a), cov, n)
-        index += count
+        total = _chain_sum(remaining[1:], remaining[0], cov, n, memo) if remaining else 1
+    else:
+        p, q = chain
+        total = n * cov[p][q] * _chain_sum(remaining, None, cov, n, memo)
+        index = 0
+        while index < len(remaining):
+            a, b = remaining[index]
+            count = 1
+            while index + count < len(remaining) and remaining[index + count] == (a, b):
+                count += 1
+            rest = remaining[:index] + remaining[index + 1:]  # drop one copy, stays sorted
+            if cov[q][a]:
+                total += count * cov[q][a] * _chain_sum(rest, (p, b), cov, n, memo)
+            if cov[q][b]:
+                total += count * cov[q][b] * _chain_sum(rest, (p, a), cov, n, memo)
+            index += count
+    memo[key] = total
     return total
 
 
@@ -115,8 +149,20 @@ def vector_moment(
 
     ``factors`` lists 0-based site pairs with multiplicity.  Exact.
     """
-    return _chain_value(tuple(sorted(factors)), None, _freeze_cov(cov), n)
+    require_depth(2 * len(factors) + 1, f"an Isserlis sum over {len(factors)} factors")
+    scaled, denom = _scale_cov(cov)
+    key = (scaled, n)
+    memo = _memos.get(key)
+    if memo is None:
+        memo = _memos[key] = {}
+        if len(_memos) > MEMO_SLOTS:
+            _memos.popitem(last=False)
+    else:
+        _memos.move_to_end(key)
+    # every term of the sum is a product of exactly one covariance entry per factor
+    total = _chain_sum(tuple(sorted(factors)), None, scaled, n, memo)
+    return Fraction(total, denom ** len(factors))
 
 
 def clear_caches() -> None:
-    _chain_value.cache_clear()
+    _memos.clear()

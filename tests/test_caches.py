@@ -1,0 +1,41 @@
+"""Package memos: clear_caches reaches every one, and the Isserlis memo is bounded."""
+
+import rotorlab
+from rotorlab import chernoff, moments, wick, zonal
+from rotorlab.algebra import GAUSSIAN, ModelDims, variable
+from rotorlab.chernoff import KernelSpec, funk_hecke_eigenvalue
+from rotorlab.gaussian import covariance, gaussian_moment, random_ferro
+from rotorlab.moments import sphere_moment
+
+
+def memo_sizes():
+    return {
+        "wick": len(wick._memos),
+        "radial": moments.radial_moment.cache_info().currsize,
+        "pairing": moments._partner_pairing_sum.cache_info().currsize,
+        "mono": moments._mono_moment.cache_info().currsize,
+        "nodes": len(chernoff._node_cache),
+        "gegenbauer": zonal.gegenbauer_coefficients.cache_info().currsize,
+    }
+
+
+def test_clear_caches_empties_every_memo():
+    dims = ModelDims(3, 3)
+    sphere_moment(variable(dims, 1, 2, 2) * variable(dims, 2, 3, 2))
+    x13 = variable(ModelDims(2, 3), 1, 3, 2, mode=GAUSSIAN)
+    gaussian_moment(x13, covariance(random_ferro(3, 1)))
+    funk_hecke_eigenvalue(KernelSpec(3, 0.5), 2)
+    zonal.gegenbauer_coefficients(3, 4)
+    assert all(memo_sizes().values()), memo_sizes()
+    rotorlab.clear_caches()
+    assert not any(memo_sizes().values()), memo_sizes()
+
+
+def test_wick_memo_keeps_a_fixed_number_of_covariances():
+    rotorlab.clear_caches()
+    p = variable(ModelDims(2, 3), 1, 2, 2, mode=GAUSSIAN)
+    covs = {covariance(random_ferro(3, seed)) for seed in range(20)}
+    assert len(covs) == 20
+    for cov in covs:
+        gaussian_moment(p, cov)
+    assert len(wick._memos) == wick.MEMO_SLOTS

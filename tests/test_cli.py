@@ -67,6 +67,45 @@ def test_moment_rejects_diagonal_pair(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    {"mode": "sphere", "n": 3, "N": 2,
+     "terms": [{"coeff": "1", "powers": [{"i": True, "j": 2, "p": 2}]}]},
+    {"mode": "sphere", "n": 3, "N": 2,
+     "terms": [{"coeff": "1", "powers": [{"i": 1, "j": 2, "p": True}]}]},
+    {"mode": "sphere", "n": 3, "N": True, "terms": []},
+])
+def test_moment_rejects_boolean_integers(tmp_path, capsys, data):
+    # JSON true is a Python bool, an int subclass; it must not pass for 1
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["moment", "--input", str(path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+def test_moment_too_deep_is_resource_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    save_polynomial(variable(ModelDims(3, 2), 1, 2, 4000), str(path))
+    assert main(["moment", "--input", str(path)]) == 3
+    assert "nested calls" in capsys.readouterr().err
+
+
+def test_gaussian_moment_too_deep_is_resource_error(tmp_path, capsys, ferro_file):
+    path = tmp_path / "deep.json"
+    save_polynomial(variable(ModelDims(1, 2), 1, 2, 2000, mode=GAUSSIAN), str(path))
+    assert main(["gaussian", "moment", "--input", str(path), "--F", ferro_file]) == 3
+    assert "nested calls" in capsys.readouterr().err
+
+
+def test_moment_tail_bound_overflow_is_numeric_error(tmp_path, capsys):
+    pp = tmp_path / "u12.json"
+    save_polynomial(variable(ModelDims(3, 2), 1, 2), str(pp))
+    jj = tmp_path / "J.json"
+    jj.write_text(json.dumps({"terms": [{"i": 1, "j": 2, "coeff": "1000"}]}))
+    assert main(["moment", "--input", str(pp), "--J", str(jj)]) == 3
+    err = capsys.readouterr().err
+    assert "coupling sum 1000" in err and "order 8" in err
+
+
 def test_moment_missing_file(capsys):
     assert main(["moment", "--input", "/nope/missing.json"]) == 2
 

@@ -85,6 +85,21 @@ def test_vector_moment_matches_brute_force(n):
         assert vector_moment(factors, cov, n) == expect, factors
 
 
+@pytest.mark.parametrize("seed", [1, 6, 9])
+def test_vector_moment_mixed_denominators(seed):
+    # the integer engine scales by the lcm D and divides by D^k; covariances
+    # whose entries have different denominators catch a wrong D or power
+    cov = covariance(random_ferro(4, seed))
+    assert len({x.denominator for row in cov for x in row}) > 2
+    rng = random.Random(seed)
+    sites = [(i, j) for i in range(4) for j in range(i, 4)]
+    for n in (1, 2, 3):
+        for _ in range(6):
+            factors = [rng.choice(sites) for _ in range(rng.randrange(1, 6))]
+            expect = brute_force_vector_moment(factors, cov, n)
+            assert vector_moment(factors, cov, n) == expect, factors
+
+
 def test_vector_moment_radial_consistency():
     # E |x|^{2k} for one site with unit covariance must hit the radial moments
     for n in (2, 3, 5):

@@ -194,6 +194,41 @@ def test_oracle_matches_elimination_small(n):
         assert sphere_moment_oracle(mono, dims) == sphere_moment(p), mono
 
 
+def random_even_monomial(rng, sites, max_degree):
+    """Random monomial over 1..sites with every site degree even and <= max_degree."""
+    pairs = [(i, j) for i in range(1, sites + 1) for j in range(i + 1, sites + 1)]
+    degs = [0] * (sites + 1)
+    powers = {}
+    for _ in range(rng.randrange(sites, 3 * sites)):
+        i, j = rng.choice(pairs)
+        if degs[i] < max_degree - 1 and degs[j] < max_degree - 1:
+            powers[(i, j)] = powers.get((i, j), 0) + 1
+            degs[i] += 1
+            degs[j] += 1
+    odd = [s for s in range(1, sites + 1) if degs[s] % 2]  # always an even count
+    for i, j in zip(odd[::2], odd[1::2]):
+        powers[(i, j)] = powers.get((i, j), 0) + 1
+    return tuple(sorted(powers.items()))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_elimination_matches_oracle_and_iterated_sites(seed):
+    # exercises the integer N / R bookkeeping on site degrees up to 8, where a
+    # wrong radial quotient would show against both independent routes
+    rng = random.Random(seed)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            dims = MD(n, rng.choice([4, 5]))
+            mono = random_even_monomial(rng, dims.sites, 8)
+            p = DotPolynomial(dims, SPHERE, [(mono, Fraction(1))])
+            exact = sphere_moment(p)
+            assert exact == sphere_moment_oracle(mono, dims), (n, mono)
+            q = p
+            for site in rng.sample(range(1, dims.sites + 1), dims.sites):
+                q = eliminate_site(q, site)
+            assert q.is_constant() and q.constant_term() == exact, (n, mono)
+
+
 def test_oracle_examples():
     dims = MD(3, 3)
     m = next(iter(variable(dims, 1, 2, 2).terms))
@@ -249,6 +284,15 @@ def test_interacting_odd_moment_positive():
         for k in range(7)
     )
     assert result.numerator == expect_num
+
+
+def test_interacting_tail_bound_beyond_float_factorial():
+    # (K+1)! exceeds the float range for K >= 170; the bound itself does not
+    dims = MD(3, 2)
+    p = variable(dims, 1, 2)
+    assert interacting_moment(p, {}, order=180).tail_gap == 0
+    gap = interacting_moment(p, {(1, 2): Fraction(1, 10)}, order=180).tail_gap
+    assert 0 <= gap < 1e-300
 
 
 def test_interacting_rejects_negative_coupling():
