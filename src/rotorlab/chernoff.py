@@ -45,8 +45,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise InputError(f"kernel needs integer n >= 2, got {self.n!r}")
-        if not self.t > 0:
-            raise InputError(f"kernel needs t > 0, got {self.t!r}")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise InputError(f"kernel needs a finite t > 0, got {self.t!r}")
         if self.nodes < 16:
             raise InputError(f"node count must be >= 16, got {self.nodes}")
 

@@ -25,7 +25,7 @@ from .gaussian import (
     trotter_compare,
 )
 from .griffiths import HOLDS, check_second, write_counterexample
-from .heat import correlation_flow, dirichlet, heat_evolve
+from .heat import DEFAULT_BASIS_CAP, correlation_flow, dirichlet, heat_evolve
 from .mc import estimate_moment
 from .moments import interacting_moment, sphere_moment
 from .suites import run_suite
@@ -42,7 +42,7 @@ def render_exact(value: Fraction) -> str:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Accept 'start:step:stop' or a comma-separated list."""
+    """Accept 'start:step:stop' or a comma-separated list; never empty."""
     if ":" in text:
         bits = text.split(":")
         if len(bits) != 3:
@@ -55,11 +55,14 @@ def parse_grid(text: str) -> list[float]:
         while value <= stop + 1e-12 * max(1.0, abs(stop)):
             out.append(round(value, 12))
             value += step
-        return out
-    try:
-        return [float(b) for b in text.split(",") if b]
-    except ValueError as exc:
-        raise InputError(f"bad grid {text!r}: {exc}") from exc
+    else:
+        try:
+            out = [float(b) for b in text.split(",") if b]
+        except ValueError as exc:
+            raise InputError(f"bad grid {text!r}: {exc}") from exc
+    if not out:
+        raise InputError(f"grid {text!r} has no points")
+    return out
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -187,16 +190,18 @@ def cmd_flow(args) -> int:
 
 def cmd_chernoff(args) -> int:
     spec = KernelSpec(args.n, args.t, args.nodes)
+    points = chernoff_table(spec, args.l, parse_int_list(args.m))
     print("m,approx,reference,error")
-    for point in chernoff_table(spec, args.l, parse_int_list(args.m)):
+    for point in points:
         print(f"{point.m},{point.approx!r},{point.reference!r},{point.error!r}")
     return 0
 
 
 def cmd_normalization(args) -> int:
+    points = [normalization_constant(KernelSpec(args.n, t, args.nodes))
+              for t in parse_grid(args.t_grid)]
     print("t,c,ratio_minus_1")
-    for t in parse_grid(args.t_grid):
-        point = normalization_constant(KernelSpec(args.n, t, args.nodes))
+    for point in points:
         print(f"{point.t},{point.c!r},{point.ratio_minus_1!r}")
     return 0
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--check-cone", action="store_true")
-    p.add_argument("--cap", type=int, default=5000)
+    p.add_argument("--cap", type=int, default=DEFAULT_BASIS_CAP)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("dirichlet", help="exact E[grad f . grad h]")
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--t-grid", required=True)
-    p.add_argument("--cap", type=int, default=5000)
+    p.add_argument("--cap", type=int, default=DEFAULT_BASIS_CAP)
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("chernoff", help="kernel power convergence to the heat semigroup")
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     gt.add_argument("--F", required=True)
     gt.add_argument("--t", type=float, required=True)
     gt.add_argument("--m", required=True)
-    gt.add_argument("--cap", type=int, default=5000)
+    gt.add_argument("--cap", type=int, default=DEFAULT_BASIS_CAP)
     gt.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("mc", help="Monte Carlo cross-check of an exact value")

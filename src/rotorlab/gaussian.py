@@ -14,12 +14,13 @@ The generator decomposes as A = (flat Laplacian) - (drift grad Q . grad)
 with Q = sum F_ij x_i.x_j / 2.  On the dot-product algebra the Laplacian
 lowers total degree by 2 (so its exponential is a finite series) and the
 drift preserves degree, which keeps every monomial inside a finite
-A-invariant subspace; the Trotter comparison runs entirely inside it.
+A-invariant subspace.  That subspace is built by the same engine as the
+sphere heat semigroup (:func:`heat.close_basis`, exact sparse columns, one
+float exponential); the Trotter comparison runs entirely inside it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,11 +42,16 @@ from .algebra import (
 )
 from .errors import InputError, ViolationError
 from .griffiths import GriffithsReport, HOLDS, VIOLATED
-from .heat import _close_basis  # degree-filtered closure engine
+from .heat import (
+    DEFAULT_BASIS_CAP,
+    InvariantSubspace,
+    _add,
+    apply_generator,
+    check_time,
+    close_basis,
+)
 from .numerics import expm
 from .wick import vector_moment
-
-DEFAULT_BASIS_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,7 @@ def check_gaussian_griffiths(
 
 def matrix_semigroup(f: FerroMatrix, t: float) -> np.ndarray:
     """exp(-tF) in floats; entrywise non-negative up to roundoff."""
-    if t < 0:
-        raise InputError(f"matrix semigroup needs t >= 0, got {t}")
+    check_time(t, "the matrix semigroup")
     return expm(-t * f.as_float())
 
 
@@ -189,14 +194,6 @@ def semigroup_approximant(f: FerroMatrix, t: float, m: int) -> np.ndarray:
 
 def _pair(i: int, j: int) -> Pair:
     return (i, j) if i <= j else (j, i)
-
-
-def _add(table: dict, mono: Mono, coeff) -> None:
-    merged = table.get(mono, 0) + coeff
-    if merged:
-        table[mono] = merged
-    elif mono in table:
-        del table[mono]
 
 
 def _grad_contract(p: Pair, q: Pair) -> dict[Pair, int]:
@@ -245,11 +242,7 @@ def gaussian_laplacian(p: DotPolynomial) -> DotPolynomial:
     """Flat Laplacian sum over sites on the gaussian dot-product algebra."""
     if p.mode != GAUSSIAN:
         raise InputError("gaussian_laplacian acts on gaussian-mode polynomials")
-    table: dict[Mono, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for out_mono, weight in _flat_laplacian_mono(mono, p.dims).items():
-            _add(table, out_mono, coeff * weight)
-    return DotPolynomial._raw(p.dims, p.mode, table)
+    return apply_generator(p, _flat_laplacian_mono)
 
 
 def _drift_mono(mono: Mono, f: FerroMatrix) -> dict[Mono, Fraction]:
@@ -276,11 +269,7 @@ def drift(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
         raise InputError("drift acts on gaussian-mode polynomials")
     if f.size != p.dims.sites:
         raise InputError(f"coupling is {f.size}x{f.size} but N={p.dims.sites}")
-    table: dict[Mono, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for out_mono, weight in _drift_mono(mono, f).items():
-            _add(table, out_mono, coeff * weight)
-    return DotPolynomial._raw(p.dims, p.mode, table)
+    return apply_generator(p, lambda mono, dims: _drift_mono(mono, f))
 
 
 def ou_generator(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
@@ -293,8 +282,7 @@ def ou_generator(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
 def heat_apply(p: FloatPolynomial | DotPolynomial, s: float) -> FloatPolynomial:
     """exp(s Delta) as a finite series: Delta lowers total degree by 2."""
     fp = to_float_poly(p) if isinstance(p, DotPolynomial) else p
-    if s < 0:
-        raise InputError(f"heat factor needs s >= 0, got {s}")
+    check_time(s, "the heat factor")
     dims = fp.dims
     result = dict(fp.terms)
     current = dict(fp.terms)
@@ -368,34 +356,12 @@ def _substitute(fp: FloatPolynomial, s_matrix: np.ndarray) -> FloatPolynomial:
 
 # -- Trotter comparison -------------------------------------------------------
 
-@dataclass(frozen=True)
-class OUSemigroup:
-    """exp(tA) restricted to the A-invariant basis of a seed polynomial."""
-
-    dims: ModelDims
-    basis: tuple[Mono, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def as_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
-
-    def evolve(self, p: DotPolynomial, t: float) -> FloatPolynomial:
-        index = {mono: k for k, mono in enumerate(self.basis)}
-        vec = np.zeros(len(self.basis))
-        for mono, coeff in p.terms.items():
-            vec[index[mono]] = float(coeff)
-        out = expm(t * self.as_float()) @ vec
-        return FloatPolynomial(
-            self.dims, GAUSSIAN,
-            {m: float(v) for m, v in zip(self.basis, out) if v != 0.0},
-        )
-
-
 def ou_invariant_basis(
     p: DotPolynomial,
     f: FerroMatrix,
     cap: int = DEFAULT_BASIS_CAP,
-) -> OUSemigroup:
+) -> InvariantSubspace:
+    """The OU generator A on the smallest A-closed monomial set containing p's terms."""
     require_valid(f)
     if f.size != p.dims.sites:
         raise InputError(f"coupling is {f.size}x{f.size} but N={p.dims.sites}")
@@ -406,8 +372,7 @@ def ou_invariant_basis(
             _add(image, out_mono, -weight)
         return image
 
-    basis, matrix = _close_basis(p.terms.keys(), p.dims, generator, cap)
-    return OUSemigroup(p.dims, basis, matrix)
+    return close_basis(p.terms.keys(), p.dims, GAUSSIAN, generator, cap)
 
 
 @dataclass(frozen=True)

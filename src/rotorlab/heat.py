@@ -13,18 +13,26 @@ lap_i(ab) = a lap_i b + b lap_i a + 2 grad_i a . grad_i b.  None of the
 rules ever raises a per-site degree and all preserve per-site parity, so
 every monomial generates a finite Laplacian-invariant subspace; the heat
 semigroup is the matrix exponential on that subspace.
+
+This module also holds the one invariant-subspace engine that the sphere
+heat semigroup and the Gaussian Ornstein-Uhlenbeck semigroup share:
+:func:`close_basis` closes a seed set under any monomial generator and keeps
+each basis monomial's image as an exact sparse column, and
+:class:`InvariantSubspace` turns those columns into a float generator and
+applies its exponential (:func:`numerics.expm`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .algebra import (
-    CONST_MONO,
     SPHERE,
     DotPolynomial,
     FloatPolynomial,
@@ -40,6 +48,8 @@ from .numerics import expm
 
 DEFAULT_BASIS_CAP = 5000
 
+Generator = Callable[[Mono, ModelDims], dict[Mono, Fraction]]
+
 
 def _incidence(mono: Mono) -> dict[int, list[tuple[Pair, int, int]]]:
     """site -> [(pair, exponent, other endpoint)] for the pairs touching it."""
@@ -50,12 +60,22 @@ def _incidence(mono: Mono) -> dict[int, list[tuple[Pair, int, int]]]:
     return table
 
 
-def _add(table: dict[Mono, Fraction], mono: Mono, coeff: Fraction) -> None:
-    merged = table.get(mono, Fraction(0)) + coeff
+def _add(table: dict, mono: Mono, coeff) -> None:
+    """Accumulate coeff on mono in a sparse term table, dropping zeros."""
+    merged = table.get(mono, 0) + coeff
     if merged:
         table[mono] = merged
     elif mono in table:
         del table[mono]
+
+
+def apply_generator(p: DotPolynomial, generator: Generator) -> DotPolynomial:
+    """Extend a monomial map generator(mono, dims) -> {mono: Fraction} linearly to p."""
+    table: dict[Mono, Fraction] = {}
+    for mono, coeff in p.terms.items():
+        for out_mono, weight in generator(mono, p.dims).items():
+            _add(table, out_mono, coeff * weight)
+    return DotPolynomial._raw(p.dims, p.mode, table)
 
 
 def _laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, Fraction]:
@@ -85,11 +105,7 @@ def laplacian(p: DotPolynomial) -> DotPolynomial:
     """Sum over sites of the spherical Laplacians, exactly."""
     if p.mode != SPHERE:
         raise InputError("laplacian acts on sphere-mode polynomials")
-    table: dict[Mono, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for out_mono, weight in _laplacian_mono(mono, p.dims).items():
-            _add(table, out_mono, coeff * weight)
-    return DotPolynomial._raw(p.dims, p.mode, table)
+    return apply_generator(p, _laplacian_mono)
 
 
 def grad_dot(f: DotPolynomial, h: DotPolynomial) -> DotPolynomial:
@@ -123,90 +139,91 @@ def dirichlet(f: DotPolynomial, h: DotPolynomial) -> Fraction:
     return sphere_moment(grad_dot(f, h))
 
 
+def check_time(t: float, what: str) -> None:
+    """Semigroups run forward in time: t must be finite and >= 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise InputError(f"{what} needs a finite time >= 0, got {t}")
+
+
 @dataclass(frozen=True)
-class SemigroupMatrix:
-    """The Laplacian restricted to a finite invariant monomial basis."""
+class InvariantSubspace:
+    """A generator restricted to a finite monomial basis that it maps into itself.
+
+    columns[j] is the exact image {mono: Fraction} of basis[j]; every
+    monomial it names is in the basis.  Floats enter only in as_float.
+    """
 
     dims: ModelDims
+    mode: str
     basis: tuple[Mono, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]  # matrix[i][j] = <basis_i | lap basis_j>
+    columns: tuple[dict[Mono, Fraction], ...]
+
+    @cached_property
+    def _positions(self) -> dict[Mono, int]:
+        return {mono: k for k, mono in enumerate(self.basis)}
 
     def index(self, mono: Mono) -> int:
-        return self.basis.index(mono)
+        return self._positions[mono]
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
+        """The generator as a dense float matrix, entry [i, j] = <basis_i | G basis_j>."""
+        out = np.zeros((len(self.basis), len(self.basis)))
+        for j, image in enumerate(self.columns):
+            for mono, coeff in image.items():
+                out[self._positions[mono], j] = float(coeff)
+        return out
+
+    def vector(self, p: DotPolynomial) -> np.ndarray:
+        """The float coefficients of p in this basis."""
+        vec = np.zeros(len(self.basis))
+        for mono, coeff in p.terms.items():
+            vec[self.index(mono)] = float(coeff)
+        return vec
+
+    def evolve(self, p: DotPolynomial, t: float) -> FloatPolynomial:
+        """exp(t G) p; the coefficients go float here."""
+        check_time(t, "semigroup evolution")
+        out = expm(t * self.as_float()) @ self.vector(p)
+        terms = {mono: float(v) for mono, v in zip(self.basis, out) if v != 0.0}
+        return FloatPolynomial(self.dims, self.mode, terms)
 
 
-def _close_basis(
+def close_basis(
     seeds: Iterable[Mono],
     dims: ModelDims,
-    generator,
-    cap: int,
-) -> tuple[tuple[Mono, ...], tuple[tuple[Fraction, ...], ...]]:
-    order: list[Mono] = []
-    index: dict[Mono, int] = {}
-    columns: dict[int, dict[Mono, Fraction]] = {}
-    queue = sorted(set(seeds))
-    for mono in queue:
-        index[mono] = len(order)
-        order.append(mono)
-    cursor = 0
-    while cursor < len(order):
-        mono = order[cursor]
+    mode: str,
+    generator: Generator,
+    cap: int = DEFAULT_BASIS_CAP,
+) -> InvariantSubspace:
+    """Smallest generator-closed monomial set containing the seeds, with exact columns.
+
+    Monomials are numbered in discovery order (seeds sorted first, each
+    image's new monomials sorted), so the basis is deterministic.
+    """
+    order = sorted(set(seeds))
+    known = set(order)
+    columns = []
+    for mono in order:  # order grows while it is walked: a breadth-first closure
         image = generator(mono, dims)
-        columns[cursor] = image
-        for out_mono in sorted(image):
-            if out_mono not in index:
-                if len(order) >= cap:
-                    raise ResourceLimitError(
-                        f"invariant basis exceeded the cap of {cap} monomials"
-                    )
-                index[out_mono] = len(order)
-                order.append(out_mono)
-        cursor += 1
-    size = len(order)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for col, image in columns.items():
-        for out_mono, coeff in image.items():
-            matrix[index[out_mono]][col] = coeff
-    return tuple(order), tuple(tuple(row) for row in matrix)
+        columns.append(image)
+        fresh = sorted(m for m in image if m not in known)
+        if len(order) + len(fresh) > cap:
+            raise ResourceLimitError(f"invariant basis exceeded the cap of {cap} monomials")
+        known.update(fresh)
+        order.extend(fresh)
+    return InvariantSubspace(dims, mode, tuple(order), tuple(columns))
 
 
-def build_invariant_basis(
-    seeds: DotPolynomial | Iterable[Mono],
-    dims: ModelDims | None = None,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> SemigroupMatrix:
-    """Smallest Laplacian-closed monomial set containing the seeds, plus the matrix."""
-    if isinstance(seeds, DotPolynomial):
-        if seeds.mode != SPHERE:
-            raise InputError("invariant bases are built in sphere mode")
-        dims = seeds.dims
-        seed_monos: Iterable[Mono] = seeds.terms.keys()
-    else:
-        if dims is None:
-            raise InputError("dims required when seeding from raw monomials")
-        seed_monos = seeds
-    basis, matrix = _close_basis(seed_monos, dims, _laplacian_mono, cap)
-    return SemigroupMatrix(dims, basis, matrix)
+def build_invariant_basis(p: DotPolynomial, cap: int = DEFAULT_BASIS_CAP) -> InvariantSubspace:
+    """The Laplacian on the smallest Laplacian-closed monomial set containing p's terms."""
+    if p.mode != SPHERE:
+        raise InputError("invariant bases are built in sphere mode")
+    return close_basis(p.terms.keys(), p.dims, SPHERE, _laplacian_mono, cap)
 
 
-def heat_evolve(
-    f: DotPolynomial,
-    t: float,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> FloatPolynomial:
+def heat_evolve(f: DotPolynomial, t: float, cap: int = DEFAULT_BASIS_CAP) -> FloatPolynomial:
     """exp(t lap) f on the invariant basis of f; coefficients go float here."""
-    if t < 0:
-        raise InputError(f"heat evolution needs t >= 0, got {t}")
-    sg = build_invariant_basis(f, cap=cap)
-    vec = np.zeros(len(sg.basis))
-    for mono, coeff in f.terms.items():
-        vec[sg.index(mono)] = float(coeff)
-    evolved = expm(t * sg.as_float()) @ vec
-    terms = {mono: float(v) for mono, v in zip(sg.basis, evolved) if v != 0.0}
-    return FloatPolynomial(f.dims, f.mode, terms)
+    return build_invariant_basis(f, cap=cap).evolve(f, t)
 
 
 @dataclass(frozen=True)
@@ -242,21 +259,20 @@ def correlation_flow(
     if f.dims != g.dims or f.mode != g.mode:
         raise InputError("correlation_flow needs matching dims and mode")
     ts = [float(t) for t in times]
-    if any(t < 0 for t in ts) or any(b < a for a, b in zip(ts, ts[1:])):
-        raise InputError("the t grid must be ascending and non-negative")
+    if not ts:
+        raise InputError("the t grid is empty")
+    for t in ts:
+        check_time(t, "a correlation flow")
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise InputError("the t grid must be ascending")
     sg = build_invariant_basis(g, cap=cap)
     moments = np.array(
         [float(sphere_moment(DotPolynomial(f.dims, SPHERE, {mono: 1}) * f)) for mono in sg.basis]
     )
-    vec = np.zeros(len(sg.basis))
-    for mono, coeff in g.terms.items():
-        vec[sg.index(mono)] = float(coeff)
-    mat = sg.as_float()
-    values = []
-    for t in ts:
-        values.append(float(moments @ (expm(t * mat) @ vec)))
+    mat, vec = sg.as_float(), sg.vector(g)
+    values = [float(moments @ (expm(t * mat) @ vec)) for t in ts]
     limit = float(sphere_moment(f) * sphere_moment(g))
-    slack = 1e-12 * max(1.0, abs(values[0]) if values else 1.0)
+    slack = 1e-12 * max(1.0, abs(values[0]))
     monotone = all(b <= a + slack for a, b in zip(values, values[1:]))
-    gap = abs(values[-1] - limit) if values else 0.0
+    gap = abs(values[-1] - limit)
     return CorrelationFlow(tuple(ts), tuple(values), limit, monotone, gap, slack)

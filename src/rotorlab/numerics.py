@@ -1,64 +1,23 @@
 """Small numerical kernels shared by the semigroup modules.
 
-The float matrix exponential is plain scaling-and-squaring with a truncated
-Taylor series; the scaling power comes from the 1-norm, so the scaled series
-converges with factorial speed and ~20 terms reach double precision.  The
-bases this package exponentiates are tens to low hundreds of monomials, so
-nothing fancier is warranted.  An exact-rational truncated Taylor variant is
-kept as a slow verification mode.
+The matrix exponential is scipy's scaling-and-squaring Pade method (Higham,
+SIAM J. Matrix Anal. Appl. 26(4), 2005).  scipy.linalg is imported on first
+use, so importing the package (and starting the CLI) does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-RationalMatrix = Sequence[Sequence[Fraction]]
-
 
 def expm(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor series."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
-    norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    scaled = a / (2.0 ** squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 64):
-        term = term @ scaled / k
-        result = result + term
-        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(result).max()):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    """The float matrix exponential of a square matrix."""
+    from scipy.linalg import expm as scipy_expm
 
-
-def expm_rational(matrix: RationalMatrix, t: Fraction, terms: int = 40) -> list[list[Fraction]]:
-    """Exact truncated Taylor series of exp(t M); slow, for verification only."""
-    size = len(matrix)
-    ident = [[Fraction(i == j) for j in range(size)] for i in range(size)]
-    result = [row[:] for row in ident]
-    term = [row[:] for row in ident]
-    t = Fraction(t)
-    for k in range(1, terms + 1):
-        nxt = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                acc = Fraction(0)
-                for r in range(size):
-                    acc += term[i][r] * matrix[r][j]
-                nxt[i][j] = acc * t / k
-        term = nxt
-        for i in range(size):
-            for j in range(size):
-                result[i][j] += term[i][j]
-    return result
+    return scipy_expm(np.asarray(matrix, dtype=float))
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -54,7 +54,7 @@ from .gaussian import (
     trotter_compare,
 )
 from .griffiths import check_second, random_cone_poly
-from .heat import build_invariant_basis, correlation_flow, dirichlet, heat_evolve, laplacian
+from .heat import correlation_flow, dirichlet, heat_evolve, laplacian
 from .mc import estimate_moment
 from .moments import interacting_moment, sphere_moment, sphere_moment_oracle
 from .numerics import fitted_order, loglog_slope

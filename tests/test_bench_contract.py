@@ -1,0 +1,51 @@
+"""The names the benchmark's tracer wraps, and the CLI's lean import.
+
+``bench/tracing.py`` wraps ``numerics.expm``, ``heat.build_invariant_basis``
+and ``gaussian.ou_invariant_basis`` wherever rotorlab binds them and reads
+``.basis`` off the bases they return.  These tests fail if a rename or a
+refactor leaves the traced counters reading zero.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rotorlab
+from rotorlab import gaussian, heat
+from rotorlab.algebra import GAUSSIAN, ModelDims, variable
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_the_engine():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        heat.heat_evolve(variable(ModelDims(3, 2), 1, 2, 2), 0.5)
+        v11 = variable(ModelDims(2, 1), 1, 1, mode=GAUSSIAN)
+        gaussian.ou_invariant_basis(v11, gaussian.ferro_from_rows([[2]])).evolve(v11, 0.5)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["numerics.expm_calls"] >= 2
+    assert metrics["heat.basis_size_max"] > 0
+    assert metrics["gaussian.ou_basis_size"] > 0
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = str(Path(rotorlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rotorlab.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

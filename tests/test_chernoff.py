@@ -79,6 +79,9 @@ def test_kernel_spec_validation():
         KernelSpec(1, 0.5)
     with pytest.raises(InputError):
         KernelSpec(2, 0.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            KernelSpec(2, t)
     with pytest.raises(InputError):
         KernelSpec(2, 0.5, nodes=4)
 

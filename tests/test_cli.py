@@ -48,6 +48,8 @@ def test_parse_grid():
         parse_grid("0:0:1")
     with pytest.raises(InputError):
         parse_grid("a,b")
+    with pytest.raises(InputError):
+        parse_grid("1:1:0")
     assert parse_int_list("8,16") == [8, 16]
 
 
@@ -211,6 +213,60 @@ def test_gaussian_trotter_cli(capsys, tmp_path, ferro_file):
     assert lines[0] == "m,max_error,min_intermediate_coeff"
     errs = [float(l.split(",")[1]) for l in lines[1:]]
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_evolve_rejects_non_finite_time(capsys, u12sq_n2, t):
+    assert main(["evolve", "--input", u12sq_n2, "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite time" in captured.err
+
+
+def test_flow_rejects_non_finite_time(capsys, u12sq_n2):
+    assert main(["flow", "--f", u12sq_n2, "--g", u12sq_n2, "--t-grid", "0,nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite time" in captured.err
+
+
+def test_gaussian_trotter_rejects_non_finite_time(capsys, tmp_path, ferro_file):
+    path = tmp_path / "x12.json"
+    save_polynomial(variable(ModelDims(1, 2), 1, 2, mode=GAUSSIAN), str(path))
+    assert main(["gaussian", "trotter", "--input", str(path), "--F", ferro_file,
+                 "--t", "nan", "--m", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite time" in captured.err
+
+
+def test_flow_rejects_empty_grid(capsys, u12sq_n2):
+    assert main(["flow", "--f", u12sq_n2, "--g", u12sq_n2, "--t-grid", "1:1:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no points" in captured.err
+
+
+def test_normalization_rejects_empty_grid(capsys):
+    assert main(["normalization", "--n", "3", "--t-grid", "1:1:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no points" in captured.err
+
+
+def test_chernoff_validates_before_printing(capsys):
+    assert main(["chernoff", "--n", "3", "--l", "2", "--t", "0.5", "--m", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "--n", "3", "--l", "2", "--t", "inf", "--m", "2"],
+    ["normalization", "--n", "3", "--t-grid", "inf"],
+])
+def test_kernel_rejects_infinite_time(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite t" in captured.err
+
+
+def test_normalization_validates_before_printing(capsys):
+    assert main(["normalization", "--n", "3", "--t-grid", "0.1,0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_mc_json_fields(capsys, u12sq_n2):

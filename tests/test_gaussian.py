@@ -237,6 +237,17 @@ def test_matrix_semigroup_closed_form():
     assert np.allclose(matrix_semigroup(F2, 0.0), np.eye(2))
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_semigroups_reject_bad_time(t):
+    with pytest.raises(InputError):
+        matrix_semigroup(F2, t)
+    v11 = variable(ModelDims(1, 1), 1, 1, mode=GAUSSIAN)
+    with pytest.raises(InputError):
+        ou_invariant_basis(v11, ferro_from_rows([[2]])).evolve(v11, t)
+    with pytest.raises(InputError):
+        heat_apply(v11, t)
+
+
 def test_matrix_semigroup_diagonal():
     f = ferro_from_rows([[3, 0], [0, "1/2"]])
     got = matrix_semigroup(f, 0.7)

@@ -4,11 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-import scipy.linalg
 
 from rotorlab.algebra import (
+    GAUSSIAN,
     DotPolynomial,
     ModelDims,
     SPHERE,
@@ -17,6 +16,7 @@ from rotorlab.algebra import (
     variable,
 )
 from rotorlab.errors import InputError, ResourceLimitError
+from rotorlab.gaussian import ferro_from_rows, ou_invariant_basis
 from rotorlab.heat import (
     build_invariant_basis,
     correlation_flow,
@@ -26,7 +26,6 @@ from rotorlab.heat import (
     laplacian,
 )
 from rotorlab.moments import sphere_moment
-from rotorlab.numerics import expm, expm_rational
 from rotorlab.zonal import gegenbauer_coefficients, laplace_eigenvalue
 from test_algebra import random_poly
 
@@ -91,25 +90,30 @@ def test_dirichlet_positivity_randomized():
             assert dirichlet(f, h) >= 0
 
 
+def entry(sg, i, j):
+    """<basis_i | G basis_j> read from the exact sparse columns."""
+    return sg.columns[j].get(sg.basis[i], 0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_invariant_basis_examples(n):
     dims = ModelDims(n, 2)
     u = variable(dims, 1, 2)
     sg = build_invariant_basis(u)
     assert sg.basis == (next(iter(u.terms)),)
-    assert sg.matrix == ((Fraction(-2 * (n - 1)),),)
+    assert entry(sg, 0, 0) == Fraction(-2 * (n - 1))
 
     sg2 = build_invariant_basis(u ** 2)
     monos = {(): None, next(iter((u ** 2).terms)): None}
     assert set(sg2.basis) == set(monos)
     sq = sg2.index(next(iter((u ** 2).terms)))
     const = sg2.index(())
-    assert sg2.matrix[sq][sq] == -4 * n
-    assert sg2.matrix[const][sq] == 4
-    assert sg2.matrix[sq][const] == 0 and sg2.matrix[const][const] == 0
+    assert entry(sg2, sq, sq) == -4 * n
+    assert entry(sg2, const, sq) == 4
+    assert entry(sg2, sq, const) == 0 and entry(sg2, const, const) == 0
 
     sg3 = build_invariant_basis(one(dims))
-    assert sg3.basis == ((),) and sg3.matrix == ((Fraction(0),),)
+    assert sg3.basis == ((),) and entry(sg3, 0, 0) == Fraction(0)
 
 
 def test_basis_cap():
@@ -119,20 +123,58 @@ def test_basis_cap():
         build_invariant_basis(p, cap=3)
 
 
-def test_expm_against_scipy():
-    rng = np.random.default_rng(5)
-    for size in (1, 2, 5, 9):
-        a = rng.normal(size=(size, size)) * 2.0
-        assert np.allclose(expm(a), scipy.linalg.expm(a), rtol=1e-12, atol=1e-13)
+def expm_rational(matrix, t, tol=Fraction(1, 10 ** 30)):
+    """exp(t M) by its exact Taylor series; the slow oracle for evolve.
+
+    Summation stops once the order k exceeds twice the 1-norm of tM and every
+    entry of the last term is below tol: from there on each term at most
+    halves, so the neglected tail is below 2 * size * tol entrywise.
+    """
+    size = len(matrix)
+    norm = max((sum(abs(matrix[i][j]) for i in range(size)) for j in range(size)), default=0) * t
+    result = [[Fraction(i == j) for j in range(size)] for i in range(size)]
+    term = [row[:] for row in result]
+    k = 0
+    while k <= 2 * norm or max(abs(x) for row in term for x in row) >= tol:
+        k += 1
+        term = [
+            [sum((term[i][r] * matrix[r][j] for r in range(size)), Fraction(0)) * t / k
+             for j in range(size)]
+            for i in range(size)
+        ]
+        for i in range(size):
+            for j in range(size):
+                result[i][j] += term[i][j]
+    return result
+
+
+def _sphere_case(n, sites=2):
+    dims = ModelDims(n, sites)
+    p = variable(dims, 1, 2, 2)
+    if sites == 3:
+        p = p * variable(dims, 1, 3, 2)
+    return build_invariant_basis(p), p
+
+
+def _ou_case(n):
+    v11 = variable(ModelDims(n, 1), 1, 1, mode=GAUSSIAN)
+    return ou_invariant_basis(v11, ferro_from_rows([[2]])), v11
 
 
 def test_expm_rational_matches_float():
-    m = [[Fraction(-4), Fraction(0)], [Fraction(4), Fraction(0)]]
-    exact = expm_rational(m, Fraction(1, 4), terms=60)
-    approx = expm(np.array([[-4.0, 0.0], [4.0, 0.0]]) * 0.25)
-    for i in range(2):
-        for j in range(2):
-            assert math.isclose(float(exact[i][j]), approx[i][j], rel_tol=1e-14, abs_tol=1e-15)
+    # the engine's own exact columns, exponentiated exactly, against its float evolve
+    cases = [_sphere_case(n) for n in (2, 3, 4)] + [_sphere_case(3, sites=3)]
+    cases += [_ou_case(n) for n in (1, 3)]
+    for sg, p in cases:
+        size = len(sg.basis)
+        matrix = [[entry(sg, i, j) for j in range(size)] for i in range(size)]
+        coeffs = [p.terms.get(mono, Fraction(0)) for mono in sg.basis]
+        for t in (Fraction(1, 4), Fraction(1)):
+            exact = expm_rational(matrix, t)
+            evolved = sg.evolve(p, float(t))
+            for i, mono in enumerate(sg.basis):
+                want = float(sum(exact[i][j] * coeffs[j] for j in range(size)))
+                assert math.isclose(evolved.coefficient(mono), want, rel_tol=1e-12, abs_tol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -215,8 +257,16 @@ def test_flow_random_monotone_to_limit():
 
 def test_flow_grid_validation():
     u = variable(D23, 1, 2)
+    for bad in ([0.5, 0.1], [], [0.0, math.nan], [0.0, math.inf], [-0.1, 0.0]):
+        with pytest.raises(InputError):
+            correlation_flow(u, u, bad)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_evolve_rejects_bad_time(t):
+    u = variable(D23, 1, 2)
     with pytest.raises(InputError):
-        correlation_flow(u, u, [0.5, 0.1])
+        heat_evolve(u, t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
