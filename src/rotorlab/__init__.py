@@ -10,6 +10,7 @@ from . import chernoff, moments, zonal
 from .algebra import (
     GAUSSIAN,
     SPHERE,
+    Coupling,
     DotPolynomial,
     FloatPolynomial,
     ModelDims,
@@ -66,7 +67,7 @@ from .moments import (
     sphere_moment,
     sphere_moment_oracle,
 )
-from .wick import pairings, vector_moment, wick_sum
+from .wick import vector_moment
 from .zonal import gegenbauer, gegenbauer_coefficients, laplace_eigenvalue
 
 __version__ = "0.1.0"

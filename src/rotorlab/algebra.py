@@ -15,6 +15,10 @@ relations automatically, which the test suite checks.
 
 Monomials are stored as tuples ``(((i, j), p), ...)`` sorted by pair; that
 sort order is also the canonical term order used for serialization.
+
+:class:`Coupling` is the one validated table of ferromagnetic strengths J_ij,
+and :func:`read_json` the one reader of JSON input files.  JSON booleans
+pass neither as integers nor as rationals.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ def _is_int(value: object) -> bool:
 
 
 def frac(value: Coeff) -> Fraction:
-    """Coerce to Fraction, mapping parse failures to :class:`InputError`."""
+    """Coerce to Fraction, mapping parse failures and JSON booleans to :class:`InputError`."""
     if isinstance(value, Fraction):
         return value
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, ArithmeticError) as exc:
         raise InputError(f"not a rational number: {value!r}") from exc
@@ -401,6 +407,54 @@ def to_float_poly(p: DotPolynomial) -> FloatPolynomial:
     return FloatPolynomial(p.dims, p.mode, {m: float(c) for m, c in p.terms.items()})
 
 
+@dataclass(frozen=True)
+class Coupling:
+    """Ferromagnetic strengths J_ij >= 0 of the sphere weight exp(sum J_ij u_ij).
+
+    ``strengths`` maps pairs (i < j) to merged strengths in first-appearance
+    order.  The engines take a Coupling or a raw ``{pair: strength}`` table
+    and pass either through :meth:`of`, which validates the table once.
+    """
+
+    dims: ModelDims
+    strengths: Mapping[Pair, Fraction]
+
+    @classmethod
+    def of(
+        cls,
+        dims: ModelDims,
+        table: "Coupling | Mapping[Pair, Coeff] | Iterable[tuple[Pair, Coeff]]",
+    ) -> "Coupling":
+        """Normalize pairs, merge duplicates, then reject negative merged strengths."""
+        if isinstance(table, Coupling):
+            if table.dims != dims:
+                raise InputError(f"coupling is for {table.dims}, not {dims}")
+            return table
+        items = table.items() if isinstance(table, Mapping) else table
+        merged: dict[Pair, Fraction] = {}
+        for (i, j), value in items:
+            pair = validate_pair(dims, SPHERE, i, j)
+            merged[pair] = merged.get(pair, Fraction(0)) + frac(value)
+        for pair, strength in merged.items():
+            if strength < 0:
+                raise InputError(f"coupling J{pair} = {strength} is not ferromagnetic")
+        return cls(dims, merged)
+
+    @classmethod
+    def from_dict(cls, dims: ModelDims, data: object) -> "Coupling":
+        """Parse ``{"terms": [{"i": .., "j": .., "coeff": ..}, ...]}``."""
+        terms = data.get("terms") if isinstance(data, dict) else None
+        if not isinstance(terms, list):
+            raise InputError("coupling JSON must be an object with a 'terms' list")
+        items = []
+        for entry in terms:
+            try:
+                items.append(((entry["i"], entry["j"]), entry["coeff"]))
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"malformed coupling entry {entry!r}") from exc
+        return cls.of(dims, items)
+
+
 # -- serialization ------------------------------------------------------------
 
 def polynomial_to_dict(p: DotPolynomial) -> dict:
@@ -449,12 +503,16 @@ def save_polynomial(p: DotPolynomial, path: str) -> None:
         fh.write("\n")
 
 
-def load_polynomial(path: str) -> DotPolynomial:
+def read_json(path: str, what: str) -> object:
+    """Parse a JSON input file; an unreadable file or invalid JSON is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read polynomial file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return polynomial_from_dict(data)
+
+
+def load_polynomial(path: str) -> DotPolynomial:
+    return polynomial_from_dict(read_json(path, "polynomial"))

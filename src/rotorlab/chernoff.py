@@ -101,11 +101,6 @@ def funk_hecke_eigenvalue(spec: KernelSpec, l: int) -> float:
     return _refine(spec.n, spec.nodes, estimate)
 
 
-def eigen_table(spec: KernelSpec, l_max: int = 8) -> list[float]:
-    """lambda_l(t) for l = 0..l_max; lambda_0 is exactly 1 by construction."""
-    return [funk_hecke_eigenvalue(spec, l) for l in range(l_max + 1)]
-
-
 @dataclass(frozen=True)
 class ChernoffPoint:
     m: int

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-from .algebra import GAUSSIAN, SPHERE, load_polynomial, validate_pair
+from .algebra import GAUSSIAN, SPHERE, Coupling, load_polynomial, read_json
 from .chernoff import KernelSpec, chernoff_table, normalization_constant
 from .errors import InputError, NumericError, ResourceLimitError, ViolationError
 from .gaussian import (
@@ -31,6 +32,9 @@ from .moments import interacting_moment, sphere_moment
 from .suites import run_suite
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def format_float(value: float) -> str:
     if value == 0.0 or 1e-4 <= abs(value) < 1e16:
         return f"{value:.15f}"
@@ -42,17 +46,28 @@ def render_exact(value: Fraction) -> str:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Accept 'start:step:stop' or a comma-separated list; never empty."""
+    """A non-empty grid: finite 'start:step:stop' (at most MAX_GRID_POINTS points) or 'a,b,...'."""
     if ":" in text:
         bits = text.split(":")
         if len(bits) != 3:
             raise InputError(f"grid {text!r} must be start:step:stop or comma-separated")
-        start, step, stop = (float(b) for b in bits)
+        try:
+            start, step, stop = (float(b) for b in bits)
+        except ValueError as exc:
+            raise InputError(f"bad grid {text!r}: {exc}") from exc
+        if not all(math.isfinite(x) for x in (start, step, stop)):
+            raise InputError(f"grid {text!r} needs a finite start, step and stop")
         if step <= 0:
             raise InputError("grid step must be positive")
+        end = stop + 1e-12 * max(1.0, abs(stop))
+        too_many = ResourceLimitError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        if (end - start) / step >= MAX_GRID_POINTS:
+            raise too_many
         out = []
         value = start
-        while value <= stop + 1e-12 * max(1.0, abs(stop)):
+        while value <= end:
+            if len(out) == MAX_GRID_POINTS:  # a step below the float spacing of large values
+                raise too_many
             out.append(round(value, 12))
             value += step
     else:
@@ -70,36 +85,6 @@ def parse_int_list(text: str) -> list[int]:
         return [int(b) for b in text.split(",") if b]
     except ValueError as exc:
         raise InputError(f"bad integer list {text!r}: {exc}") from exc
-
-
-def load_coupling_table(path: str, dims) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read coupling file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or "terms" not in data:
-        raise InputError("coupling JSON must be an object with a 'terms' list")
-    table = {}
-    for entry in data["terms"]:
-        try:
-            pair = validate_pair(dims, SPHERE, entry["i"], entry["j"])
-            table[pair] = table.get(pair, Fraction(0)) + Fraction(entry["coeff"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed coupling entry {entry!r}") from exc
-    return table
-
-
-def load_matrix(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ferro_from_dict(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _check_paths(*paths: str | None) -> None:
@@ -126,7 +111,7 @@ def cmd_moment(args) -> int:
     if p.mode != SPHERE:
         raise InputError("moment handles sphere-mode polynomials; see 'gaussian moment'")
     if args.J:
-        coupling = load_coupling_table(args.J, p.dims)
+        coupling = Coupling.from_dict(p.dims, read_json(args.J, "coupling"))
         result = interacting_moment(p, coupling, order=args.order)
         print(f"{render_exact(result.value)}  [truncation order {result.order}, "
               f"tail bound {result.tail_gap:.3e}]")
@@ -207,7 +192,7 @@ def cmd_normalization(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    fmat = load_matrix(args.F)
+    fmat = ferro_from_dict(read_json(args.F, "matrix"))
     if args.gaussian_action == "moment":
         _check_paths(args.input)
         p = load_polynomial(args.input)
@@ -237,9 +222,9 @@ def cmd_mc(args) -> int:
     coupling = None
     cov = None
     if args.J:
-        coupling = load_coupling_table(args.J, p.dims)
+        coupling = Coupling.from_dict(p.dims, read_json(args.J, "coupling"))
     if args.F:
-        cov = covariance(load_matrix(args.F))
+        cov = covariance(ferro_from_dict(read_json(args.F, "matrix")))
     elif p.mode == GAUSSIAN:
         raise InputError("gaussian-mode input needs --F for the coupling matrix")
     estimate = estimate_moment(p, args.samples, args.seed, coupling=coupling, covariance=cov)

@@ -1,10 +1,13 @@
 """First and second Griffiths inequality checks with exact arithmetic.
 
 Everything here is rational: a report's ``gap`` is E[fg] - E[f]E[g] as an
-exact Fraction, so a verdict never depends on a tolerance.  A violated
-verdict would disprove the underlying theorem (or expose a bug), so the
-randomized suite treats it as a hard failure and serializes the offending
-pair before raising.
+exact Fraction, so a verdict never depends on a tolerance.  One report
+builder, :func:`second_report`, serves every measure: :func:`check_second`
+passes it the sphere moment, and ``gaussian.check_gaussian_griffiths`` the
+Gaussian moment of a ferromagnetic covariance.  A violated verdict would
+disprove the underlying theorem (or expose a bug), so the randomized sweep
+:func:`run_random_suite`, which acceptance criterion 3 also runs, treats it
+as a hard failure and serializes the offending pair before raising.
 """
 
 from __future__ import annotations
@@ -72,20 +75,33 @@ def check_first(f: DotPolynomial) -> tuple[Fraction, str]:
     return value, HOLDS if value >= 0 else VIOLATED
 
 
-def check_second(f: DotPolynomial, g: DotPolynomial) -> GriffithsReport:
-    """Exact E[fg] - E[f]E[g] for cone polynomials over the same model."""
+def second_report(
+    f: DotPolynomial,
+    g: DotPolynomial,
+    moment: Callable[[DotPolynomial], Fraction],
+) -> GriffithsReport:
+    """Exact E[fg] - E[f]E[g] for cone polynomials over the same model.
+
+    ``moment`` is the expectation of the measure under test; the verdict
+    also asks E[f] and E[g] to be non-negative (the first inequality).
+    """
     if f.dims != g.dims or f.mode != g.mode:
         raise InputError(f"f and g disagree: ({f.dims}, {f.mode}) vs ({g.dims}, {g.mode})")
-    if f.mode != SPHERE:
-        raise InputError("check_second integrates over spheres; use the gaussian module otherwise")
     _require_cone(f, "f")
     _require_cone(g, "g")
-    Ef = sphere_moment(f)
-    Eg = sphere_moment(g)
-    Efg = sphere_moment(f * g)
+    Ef = moment(f)
+    Eg = moment(g)
+    Efg = moment(f * g)
     gap = Efg - Ef * Eg
     verdict = HOLDS if (gap >= 0 and Ef >= 0 and Eg >= 0) else VIOLATED
     return GriffithsReport(_model_descriptor(f), Ef, Eg, Efg, gap, verdict)
+
+
+def check_second(f: DotPolynomial, g: DotPolynomial) -> GriffithsReport:
+    """:func:`second_report` under the product of normalized sphere measures."""
+    if f.mode != SPHERE:
+        raise InputError("check_second integrates over spheres; use the gaussian module otherwise")
+    return second_report(f, g, sphere_moment)
 
 
 def random_cone_poly(
@@ -146,24 +162,27 @@ def write_counterexample(
 def run_random_suite(
     cases: int,
     seed: int,
-    dims_choices: Sequence[ModelDims],
+    ns: Sequence[int],
+    site_counts: Sequence[int],
     degree_budget: int = 6,
     term_count: int = 3,
     counterexample_dir: str = ".",
-    checker: Callable[[DotPolynomial, DotPolynomial], GriffithsReport] = check_second,
 ) -> list[GriffithsReport]:
-    """Randomized second-inequality sweep; aborts on any violation.
+    """Randomized sphere second-inequality sweep; aborts on any violation.
 
-    A violation is serialized to ``counterexample_dir`` so it can be replayed
-    with the CLI, then raised as :class:`ViolationError`.
+    Each case draws n from ``ns``, then the site count from
+    ``site_counts``, then the seeds of f and g, all from one
+    ``random.Random(seed)``.  A violation is serialized to
+    ``counterexample_dir`` so it can be replayed with the CLI, then raised
+    as :class:`ViolationError`.
     """
     rng = random.Random(seed)
     reports = []
     for case in range(cases):
-        dims = dims_choices[rng.randrange(len(dims_choices))]
+        dims = ModelDims(rng.choice(ns), rng.choice(site_counts))
         f = random_cone_poly(dims, degree_budget, term_count, rng.randrange(2**31))
         g = random_cone_poly(dims, degree_budget, term_count, rng.randrange(2**31))
-        report = checker(f, g)
+        report = check_second(f, g)
         if report.verdict != HOLDS:
             path = write_counterexample(
                 f"{counterexample_dir}/griffiths_counterexample_{seed}_{case}.json",

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import ratlin
-from .algebra import GAUSSIAN, SPHERE, DotPolynomial, Pair, frac, validate_pair
+from .algebra import GAUSSIAN, Coupling, DotPolynomial, Pair
 from .errors import InputError
 
 SHARD_SIZE = 1 << 15
@@ -82,22 +82,11 @@ def _evaluate_poly(p: DotPolynomial, spins: np.ndarray) -> np.ndarray:
     return total
 
 
-def _weight_values(
-    coupling: Mapping[Pair, object] | None,
-    p: DotPolynomial,
-    spins: np.ndarray,
-) -> np.ndarray | None:
-    if coupling is None:
-        return None
+def _weight_values(coupling: Coupling, spins: np.ndarray) -> np.ndarray:
     exponent = np.zeros(spins.shape[0])
-    for (i, j), value in coupling.items():
-        pair = validate_pair(p.dims, SPHERE, i, j)
-        strength = float(frac(value))
-        if strength < 0:
-            raise InputError(f"coupling J{pair} = {value} is not ferromagnetic")
-        exponent += strength * np.einsum(
-            "sc,sc->s", spins[:, pair[0] - 1, :], spins[:, pair[1] - 1, :]
-        )
+    for (i, j), strength in coupling.strengths.items():
+        dot = np.einsum("sc,sc->s", spins[:, i - 1, :], spins[:, j - 1, :])
+        exponent += float(strength) * dot
     return np.exp(exponent)
 
 
@@ -105,13 +94,14 @@ def estimate_moment(
     p: DotPolynomial,
     samples: int,
     seed: int,
-    coupling: Mapping[Pair, object] | None = None,
+    coupling: Coupling | Mapping[Pair, object] | None = None,
     covariance: ratlin.Matrix | None = None,
 ) -> MCEstimate:
     """Monte Carlo estimate of E[p], optionally weighted by exp(sum J u).
 
-    Sphere mode samples uniform spins; gaussian mode needs the rational
-    covariance and ignores ``coupling``.  The weighted estimate is
+    Sphere mode samples uniform spins, and ``coupling`` is validated through
+    ``Coupling.of`` before the first shard; gaussian mode needs the rational
+    covariance and refuses a coupling.  The weighted estimate is
     self-normalized, with the influence-function standard error
     std(w (p - mean) / avg(w)) / sqrt(samples).
     """
@@ -125,6 +115,8 @@ def estimate_moment(
         chol = np.array(ratlin.cholesky_float(covariance))
     elif covariance is not None:
         raise InputError("covariance applies to gaussian mode only")
+    if coupling is not None:
+        coupling = Coupling.of(p.dims, coupling)
 
     shard_stats: list[tuple[float, ...]] = []
     done = 0
@@ -137,10 +129,10 @@ def estimate_moment(
         else:
             spins = _sphere_batch(p.dims, rng, count)
         values = _evaluate_poly(p, spins)
-        weights = _weight_values(coupling, p, spins)
-        if weights is None:
+        if coupling is None:
             shard_stats.append((float(values.sum()), float((values * values).sum())))
         else:
+            weights = _weight_values(coupling, spins)
             wp = weights * values
             shard_stats.append(
                 (

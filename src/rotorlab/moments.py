@@ -3,21 +3,23 @@
 ``sphere_moment`` integrates a dot-product polynomial against the product of
 normalized surface measures by eliminating one site at a time: the factors
 attached to the chosen site are converted to a Gaussian integral, summed
-over pairings of the partner spins, and divided by the radial moment of the
-degree that the conversion introduced.  The elimination runs in integers:
-per monomial it carries N = R * S, where S is the sphere moment and R the
-product of the radial moments of its site degrees.  N is the monomial's
-identity-covariance Gaussian moment, so it is an integer, and one
-``Fraction(N, R)`` is built per monomial at the end.  ``eliminate_site``
-shares the same integer kernel and divides by the radial moment once per
-monomial.  ``sphere_moment_oracle`` computes
-the same quantity along an entirely different route (one global Isserlis
-sum over all sites at once, normalized by the per-site radial moments) and
-exists purely to cross-check the elimination engine.
+over perfect matchings of the partner spins, and divided by the radial
+moment of the degree that the conversion introduced.  The elimination runs
+in integers: per monomial it carries N = R * S, where S is the sphere
+moment and R the product of the radial moments of its site degrees.  N is
+the monomial's identity-covariance Gaussian moment, so it is an integer,
+and one ``Fraction(N, R)`` is built per monomial at the end.
+``eliminate_site`` shares the same integer kernel and divides by the
+radial moment once per monomial.  ``sphere_moment_oracle`` computes the
+same quantity along an entirely different route (one global Isserlis sum
+over all sites at once, normalized by the per-site radial moments); the
+acceptance bundle uses it to cross-check the elimination engine.
 
-``interacting_moment`` adds a ferromagnetic weight exp(sum J_ij u_ij) by
-exact Taylor truncation; every truncation term is a non-negative rational,
-so the truncated numerator and partition function are monotone lower bounds.
+``interacting_moment`` adds a ferromagnetic weight exp(sum J_ij u_ij), the
+strengths given as an :class:`algebra.Coupling` or a raw table that it
+validates through ``Coupling.of``, by exact Taylor truncation; every
+truncation term is a non-negative rational, so the truncated numerator and
+partition function are monotone lower bounds.
 """
 
 from __future__ import annotations
@@ -32,16 +34,15 @@ from . import wick
 from .algebra import (
     CONST_MONO,
     SPHERE,
+    Coupling,
     DotPolynomial,
     ModelDims,
     Mono,
     Pair,
-    frac,
     mono_mul,
     mono_sites,
     renumber_mono,
     site_degrees,
-    validate_pair,
 )
 from .errors import InputError, NumericError
 
@@ -63,13 +64,13 @@ def radial_moment(n: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _partner_pairing_sum(labels: tuple[int, ...]) -> tuple[tuple[Mono, int], ...]:
-    """Sum over pairings of partner sites, aggregated by resulting monomial.
+    """Sum over perfect matchings of partner sites, aggregated by resulting monomial.
 
     ``labels`` is the sorted multiset of partner sites of the eliminated
     site.  A pair of equal labels contributes 1 (unit spins), a pair of
-    distinct labels contributes u_{ab}.  Same first-element recursion as
-    :func:`wick.pairings`, but identical labels are grouped so the work is
-    polynomial in the multiset shape rather than (L-1)!!.
+    distinct labels contributes u_{ab}.  The first label is matched with
+    each partner in turn, and identical partners are grouped, so the work
+    is polynomial in the multiset shape rather than (L-1)!!.
     """
     if not labels:
         return ((CONST_MONO, 1),)
@@ -233,7 +234,7 @@ class InteractingMoment:
 
 def interacting_moment(
     p: DotPolynomial,
-    coupling: Mapping[Pair, object],
+    coupling: Coupling | Mapping[Pair, object],
     order: int = 8,
 ) -> InteractingMoment:
     """Truncated ferromagnetic expectation of a cone polynomial."""
@@ -243,14 +244,8 @@ def interacting_moment(
         raise InputError("interacting_moment needs a cone polynomial")
     if order < 0:
         raise InputError("truncation order must be >= 0")
-    table: dict[Pair, Fraction] = {}
-    for (i, j), value in coupling.items():
-        pair = validate_pair(p.dims, SPHERE, i, j)
-        strength = frac(value)
-        if strength < 0:
-            raise InputError(f"coupling J{pair} = {strength} is not ferromagnetic")
-        table[pair] = table.get(pair, Fraction(0)) + strength
-    weight = DotPolynomial(p.dims, SPHERE, [(((pair, 1),), c) for pair, c in table.items()])
+    strengths = Coupling.of(p.dims, coupling).strengths.items()
+    weight = DotPolynomial(p.dims, SPHERE, [(((pair, 1),), c) for pair, c in strengths])
 
     numerator = Fraction(0)
     partition = Fraction(0)

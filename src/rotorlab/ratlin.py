@@ -5,14 +5,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .algebra import frac
 from .errors import InputError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def freeze(rows: Sequence[Sequence[object]]) -> Matrix:
-    """Copy into an immutable Fraction matrix, checking squareness."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Copy into an immutable Fraction matrix, checking entries and squareness."""
+    try:
+        out = tuple(tuple(frac(x) for x in row) for row in rows)
+    except TypeError as exc:  # rows, or a row, that is not a list
+        raise InputError("matrix must be a list of rows of rational entries") from exc
     size = len(out)
     if any(len(row) != size for row in out):
         raise InputError("matrix must be square")

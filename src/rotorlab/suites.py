@@ -43,7 +43,7 @@ from .chernoff import (
     generator_envelope,
     normalization_constant,
 )
-from .errors import InputError
+from .errors import InputError, ViolationError
 from .gaussian import (
     check_gaussian_griffiths,
     covariance,
@@ -53,7 +53,7 @@ from .gaussian import (
     random_ferro,
     trotter_compare,
 )
-from .griffiths import check_second, random_cone_poly
+from .griffiths import random_cone_poly, run_random_suite
 from .heat import correlation_flow, dirichlet, heat_evolve, laplacian
 from .mc import estimate_moment
 from .moments import interacting_moment, sphere_moment, sphere_moment_oracle
@@ -127,18 +127,11 @@ def crit_gram(scale: str, seed: int) -> tuple[bool, str]:
 
 def crit_griffiths_suite(scale: str, seed: int) -> tuple[bool, str]:
     cases = 200 if scale == "full" else 20
-    rng = random.Random(seed)
-    worst = None
-    for _ in range(cases):
-        n = rng.choice([2, 3, 5])
-        sites = rng.choice([2, 3, 4])
-        dims = ModelDims(n, sites)
-        f = random_cone_poly(dims, 6, 3, rng.randrange(2**31))
-        g = random_cone_poly(dims, 6, 3, rng.randrange(2**31))
-        report = check_second(f, g)
-        if report.gap < 0:
-            return False, f"violated: gap {report.gap} at n={n}, N={sites}"
-        worst = report.gap if worst is None else min(worst, report.gap)
+    try:
+        reports = run_random_suite(cases, seed, (2, 3, 5), (2, 3, 4))
+    except ViolationError as exc:
+        return False, str(exc)
+    worst = min(r.gap for r in reports)
     return True, f"{cases} cone pairs, all gaps >= 0 (smallest {worst})"
 
 

@@ -1,10 +1,4 @@
-"""Isserlis (Wick) pairing sums.
-
-Two layers live here.  ``pairings``/``wick_sum`` enumerate perfect matchings
-of an explicit label sequence by recursive first-element pairing, which
-visits every matching exactly once.  They are general-purpose helpers; the
-sphere engine's site elimination does not use them, since
-``moments._partner_pairing_sum`` runs its own grouped recursion.
+"""Isserlis (Wick) sums for dot products of Gaussian vectors.
 
 ``vector_moment`` evaluates E prod (x_a . x_b) for centred jointly-Gaussian
 vectors in R^n with covariance C per component (full covariance C tensor
@@ -30,11 +24,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Sequence
 
 from .errors import ResourceLimitError
-
-T = TypeVar("T")
 
 Pair0 = tuple[int, int]  # 0-based site pair
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -46,49 +38,6 @@ RECURSION_BUDGET = 400
 # Chain memos are kept for this many (scaled covariance, n) keys, most recent last.
 MEMO_SLOTS = 8
 _memos: OrderedDict[tuple[IntMatrix, int], dict] = OrderedDict()
-
-
-def pairings(labels: Sequence[T]) -> Iterator[list[tuple[T, T]]]:
-    """Yield all perfect matchings of the labels (none when the count is odd)."""
-    items = list(labels)
-    if len(items) % 2:
-        return
-    if not items:
-        yield []
-        return
-    first = items[0]
-    rest = items[1:]
-    for k, partner in enumerate(rest):
-        head = (first, partner)
-        for tail in pairings(rest[:k] + rest[k + 1:]):
-            yield [head] + tail
-
-
-def wick_sum(labels: Sequence[T], inner: Callable[[T, T], object], one=1):
-    """Sum over all pairings of the product of ``inner`` values.
-
-    Returns ``0 * one`` for an odd label count (the odd integral vanishes).
-    ``one`` is the multiplicative identity of whatever ring ``inner`` maps
-    into; the default works for plain numbers.
-    """
-    if len(labels) % 2:
-        return one * 0
-    total = one * 0
-    for matching in pairings(labels):
-        product = one
-        for a, b in matching:
-            product = product * inner(a, b)
-        total = total + product
-    return total
-
-
-def double_factorial(k: int) -> int:
-    """(k)!! with (-1)!! = 1; the number of pairings of k+1 labels is k!!."""
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
 
 
 def require_depth(frames: int, what: str) -> None:

@@ -1,4 +1,4 @@
-"""Core algebra: canonical forms, ring axioms, relabeling, serialization."""
+"""Core algebra: canonical forms, ring axioms, relabeling, serialization, couplings."""
 
 import json
 import random
@@ -9,6 +9,7 @@ import pytest
 from rotorlab.algebra import (
     GAUSSIAN,
     SPHERE,
+    Coupling,
     DotPolynomial,
     ModelDims,
     constant,
@@ -17,6 +18,7 @@ from rotorlab.algebra import (
     one,
     polynomial_from_dict,
     polynomial_to_dict,
+    read_json,
     renumber_mono,
     save_polynomial,
     site_degrees,
@@ -216,3 +218,72 @@ def test_total_degree_and_sum():
     assert p.total_degree() == 3
     assert p.coefficient_sum() == 6
     assert mono_degree(max(p.terms, key=mono_degree)) == 3
+
+
+def test_json_rejects_boolean_coefficients():
+    with pytest.raises(InputError, match="not a rational number"):
+        polynomial_from_dict(
+            {"mode": "sphere", "n": 3, "N": 2,
+             "terms": [{"coeff": True, "powers": [{"i": 1, "j": 2, "p": 2}]}]}
+        )
+
+
+def test_read_json_names_the_file(tmp_path):
+    with pytest.raises(InputError, match="cannot read coupling file"):
+        read_json(str(tmp_path / "missing.json"), "coupling")
+    for name, content in (("utf16.json", b"\xff\xfe{"), ("deep.json", b"[" * 100_000)):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        with pytest.raises(InputError, match="invalid JSON"):
+            read_json(str(bad), "matrix")
+
+
+def test_coupling_merges_both_orientations_in_first_appearance_order():
+    dims = ModelDims(3, 3)
+    table = {(3, 2): "1/5", (2, 1): Fraction(1, 7), (1, 2): Fraction(1, 10)}
+    coupling = Coupling.of(dims, table)
+    assert list(coupling.strengths.items()) == [
+        ((2, 3), Fraction(1, 5)), ((1, 2), Fraction(17, 70))
+    ]
+    # a negative entry is fine when its merged strength is not
+    assert Coupling.of(dims, {(1, 2): Fraction(-1, 2), (2, 1): 1}).strengths == {
+        (1, 2): Fraction(1, 2)
+    }
+    assert Coupling.of(dims, coupling) is coupling
+
+
+@pytest.mark.parametrize("table, message", [
+    ({(1, 2): Fraction(-1, 2)}, "not ferromagnetic"),
+    ({(1, 2): -1, (2, 1): Fraction(1, 2)}, "not ferromagnetic"),
+    ({(1, 1): 1}, "with itself"),
+    ({(1, 4): 1}, "out of range"),
+    ({(True, 2): 1}, "integers"),
+    ({(1, 2): True}, "not a rational number"),
+    ({(1, 2): "x"}, "not a rational number"),
+])
+def test_coupling_rejects(table, message):
+    with pytest.raises(InputError, match=message):
+        Coupling.of(ModelDims(3, 3), table)
+
+
+def test_coupling_rejects_other_dims():
+    coupling = Coupling.of(ModelDims(3, 3), {(1, 2): 1})
+    with pytest.raises(InputError, match="coupling is for"):
+        Coupling.of(ModelDims(3, 4), coupling)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"terms": 5}, "'terms' list"),
+    ([1], "'terms' list"),
+    ({"terms": [5]}, "malformed coupling entry"),
+    ({"terms": [{"i": 1, "j": 2}]}, "malformed coupling entry"),
+    ({"terms": [{"i": 1, "j": 2, "coeff": True}]}, "not a rational number"),
+])
+def test_coupling_from_dict_rejects(data, message):
+    with pytest.raises(InputError, match=message):
+        Coupling.from_dict(ModelDims(3, 2), data)
+
+
+def test_coupling_from_dict_merges_repeated_entries():
+    data = {"terms": [{"i": 1, "j": 2, "coeff": "1/10"}, {"i": 2, "j": 1, "coeff": "1/5"}]}
+    assert Coupling.from_dict(ModelDims(3, 2), data).strengths == {(1, 2): Fraction(3, 10)}

@@ -1,9 +1,12 @@
-"""The names the benchmark's tracer wraps, and the CLI's lean import.
+"""The names the benchmark's tracer wraps, the inputs its workloads pass,
+and the CLI's lean import.
 
-``bench/tracing.py`` wraps ``numerics.expm``, ``heat.build_invariant_basis``
-and ``gaussian.ou_invariant_basis`` wherever rotorlab binds them and reads
-``.basis`` off the bases they return.  These tests fail if a rename or a
-refactor leaves the traced counters reading zero.
+``bench/tracing.py`` wraps ``numerics.expm``, ``heat.build_invariant_basis``,
+``gaussian.ou_invariant_basis`` and ``griffiths.check_second`` wherever
+rotorlab binds them and reads ``.basis`` off the bases they return.
+``bench/workloads.py`` passes couplings as raw ``{pair: Fraction}`` dicts.
+These tests fail if a rename or a refactor leaves the traced counters
+reading zero or stops accepting those inputs.
 """
 
 import importlib.util
@@ -12,9 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import rotorlab
-from rotorlab import gaussian, heat
-from rotorlab.algebra import GAUSSIAN, ModelDims, variable
+from rotorlab import gaussian, griffiths, heat, mc, moments
+from rotorlab.algebra import GAUSSIAN, Coupling, ModelDims, variable
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -40,6 +45,29 @@ def test_tracer_sees_the_engine():
     assert metrics["numerics.expm_calls"] >= 2
     assert metrics["heat.basis_size_max"] > 0
     assert metrics["gaussian.ou_basis_size"] > 0
+
+
+def test_tracer_sees_the_random_sweep():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        griffiths.run_random_suite(3, 7, (2, 3), (2, 3), degree_budget=2, term_count=2)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["griffiths.check_second_s"] > 0
+
+
+def test_raw_coupling_dicts_are_accepted():
+    dims = ModelDims(3, 4)
+    p = variable(dims, 1, 2) * variable(dims, 3, 4)
+    raw = {(1, 2): Fraction(3, 10), (3, 4): Fraction(1, 2), (2, 4): Fraction(1, 5)}
+    coupling = Coupling.of(dims, raw)
+    assert moments.interacting_moment(p, raw, order=3) == moments.interacting_moment(
+        p, coupling, order=3)
+    assert mc.estimate_moment(p, 2000, 5, coupling=raw) == mc.estimate_moment(
+        p, 2000, 5, coupling=coupling)
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

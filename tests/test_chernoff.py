@@ -11,7 +11,6 @@ from rotorlab.chernoff import (
     ChernoffPoint,
     KernelSpec,
     chernoff_table,
-    eigen_table,
     funk_hecke_eigenvalue,
     generator_envelope,
     generator_limit,
@@ -120,7 +119,7 @@ def test_sphere5_eigenvalue_small_t_expansion():
 def test_contraction_and_monotonicity():
     for n in (2, 3):
         for t in (0.05, 0.5, 1.5):
-            lams = eigen_table(KernelSpec(n, t), l_max=6)
+            lams = [funk_hecke_eigenvalue(KernelSpec(n, t), l) for l in range(7)]
             assert lams[0] == 1.0
             assert all(0.0 < lam <= 1.0 for lam in lams)
             assert all(b <= a + 1e-13 for a, b in zip(lams, lams[1:]))

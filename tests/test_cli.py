@@ -11,8 +11,8 @@ from rotorlab.algebra import (
     save_polynomial,
     variable,
 )
-from rotorlab.cli import main, parse_grid, parse_int_list
-from rotorlab.errors import InputError
+from rotorlab.cli import MAX_GRID_POINTS, main, parse_grid, parse_int_list
+from rotorlab.errors import InputError, ResourceLimitError
 
 
 @pytest.fixture()
@@ -50,7 +50,97 @@ def test_parse_grid():
         parse_grid("a,b")
     with pytest.raises(InputError):
         parse_grid("1:1:0")
+    with pytest.raises(InputError):
+        parse_grid("a:1:2")
     assert parse_int_list("8,16") == [8, 16]
+
+
+@pytest.mark.parametrize("text", ["0:1:inf", "-inf:1:0", "0:inf:1", "nan:1:2", "0:1:1e400"])
+def test_parse_grid_rejects_non_finite_ranges(text):
+    with pytest.raises(InputError, match="finite start, step and stop"):
+        parse_grid(text)
+
+
+def test_parse_grid_caps_the_point_count():
+    assert len(parse_grid(f"1:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    for text in (f"1:1:{MAX_GRID_POINTS + 1}", "0:1e-6:1", "-1e308:1e-300:1e308"):
+        with pytest.raises(ResourceLimitError, match="more than"):
+            parse_grid(text)
+    # a step below the float spacing of the start stops advancing the range
+    with pytest.raises(ResourceLimitError, match="more than"):
+        parse_grid(f"{2.0 ** 53 - 8}:1:{2.0 ** 53 + 100}")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0:1:inf"], 2),
+    (["normalization", "--n", "2", "--t-grid", "0:1:inf"], 2),
+    (["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0:1e-6:1"], 3),
+])
+def test_unbounded_grids_exit_cleanly(capsys, u12sq_n2, argv, code):
+    assert main([a.replace("{u}", u12sq_n2) for a in argv]) == code
+    captured = capsys.readouterr()
+    expected = "input error" if code == 2 else "numeric/resource"
+    assert captured.out == "" and expected in captured.err
+
+
+@pytest.mark.parametrize("data", [
+    {"terms": 5},
+    {"terms": [{"i": 1, "j": 2, "coeff": True}]},
+    {"terms": [{"i": 1, "j": 2, "coeff": "-1/2"}]},
+])
+@pytest.mark.parametrize("command", ["moment", "mc"])
+def test_malformed_coupling_is_input_error(tmp_path, capsys, data, command):
+    pp = tmp_path / "u12.json"
+    save_polynomial(variable(ModelDims(3, 2), 1, 2), str(pp))
+    jj = tmp_path / "J.json"
+    jj.write_text(json.dumps(data))
+    argv = [command, "--input", str(pp), "--J", str(jj)]
+    assert main(argv + (["--samples", "2000"] if command == "mc" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err
+
+
+def test_coupling_file_merges_both_orientations(tmp_path, capsys):
+    pp = tmp_path / "u12.json"
+    save_polynomial(variable(ModelDims(3, 2), 1, 2), str(pp))
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"terms": [{"i": 1, "j": 2, "coeff": "-1/2"},
+                                           {"i": 2, "j": 1, "coeff": "1"}]}))
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps({"terms": [{"i": 1, "j": 2, "coeff": "1/2"}]}))
+    assert main(["moment", "--input", str(pp), "--J", str(split)]) == 0
+    first = capsys.readouterr().out
+    assert main(["moment", "--input", str(pp), "--J", str(whole)]) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("data, sites", [
+    ({"entries": 5}, 1),
+    ({"entries": [5]}, 1),
+    ({"entries": [["a"]]}, 1),
+    ({"entries": [[None]]}, 1),
+    ({"entries": [["1/0"]]}, 1),
+    ({"N": 2, "entries": [[True, False], [False, True]]}, 2),
+    ({"N": True, "entries": [["2"]]}, 1),
+])
+def test_malformed_matrix_is_input_error(tmp_path, capsys, data, sites):
+    path = tmp_path / "x.json"
+    save_polynomial(variable(ModelDims(1, sites), 1, 1, mode=GAUSSIAN), str(path))
+    fp = tmp_path / "F.json"
+    fp.write_text(json.dumps(data))
+    assert main(["gaussian", "moment", "--input", str(path), "--F", str(fp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err
+
+
+def test_boolean_coefficient_is_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "mode": "sphere", "n": 3, "N": 2,
+        "terms": [{"coeff": True, "powers": [{"i": 1, "j": 2, "p": 2}]}],
+    }))
+    assert main(["moment", "--input", str(path)]) == 2
+    assert "not a rational number" in capsys.readouterr().err
 
 
 def test_moment_output(capsys, u12sq_n2):

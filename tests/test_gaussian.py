@@ -15,7 +15,6 @@ from rotorlab.gaussian import (
     check_gaussian_griffiths,
     covariance,
     drift,
-    equilibrium_moment,
     ferro_from_dict,
     ferro_from_rows,
     flow_map,
@@ -26,16 +25,40 @@ from rotorlab.gaussian import (
     ou_generator,
     ou_invariant_basis,
     random_ferro,
-    semigroup_approximant,
     trotter_compare,
     validate_ferro,
 )
 from rotorlab.griffiths import random_cone_poly
 from rotorlab.moments import radial_moment
 from rotorlab.numerics import fitted_order
-from rotorlab.wick import pairings, vector_moment
+from rotorlab.wick import vector_moment
 
 F2 = ferro_from_rows([[2, -1], [-1, 2]])
+
+
+def pairings(labels):
+    """Yield all perfect matchings of the labels (none when the count is odd)."""
+    items = list(labels)
+    if len(items) % 2:
+        return
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        for tail in pairings(rest[:k] + rest[k + 1:]):
+            yield [(first, partner)] + tail
+
+
+def test_pairings_counts():
+    for labels in ([1, 2], [1, 2, 3, 4], list(range(6)), list(range(8))):
+        matchings = list(pairings(labels))
+        assert len(matchings) == math.prod(range(len(labels) - 1, 0, -2))  # (L-1)!!
+        # each matching covers every label exactly once
+        for m in matchings:
+            flat = sorted(x for pair in m for x in pair)
+            assert flat == sorted(labels)
+    assert list(pairings([1, 2, 3])) == []
 
 
 def brute_force_vector_moment(factors, cov, n):
@@ -255,11 +278,13 @@ def test_matrix_semigroup_diagonal():
 
 
 def test_semigroup_approximant_converges():
+    # the Euler product (I - tF/m)^m converges to exp(-tF)
     t = 0.8
     target = matrix_semigroup(F2, t)
     errors = []
     for m in (4, 16, 64, 256):
-        errors.append(np.abs(semigroup_approximant(F2, t, m) - target).max())
+        approximant = np.linalg.matrix_power(np.eye(2) - (t / m) * F2.as_float(), m)
+        errors.append(np.abs(approximant - target).max())
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-3
 
@@ -392,7 +417,7 @@ def test_equilibrium_convergence():
     v12 = variable(dims, 1, 2, mode=GAUSSIAN)
     p = v12 * v12 + 2 * v12
     semi = ou_invariant_basis(p, F2)
-    target = float(equilibrium_moment(p, F2))
+    target = float(gaussian_moment(p, covariance(F2)))  # the t -> infinity limit
     out = semi.evolve(p, 30.0)
     assert out.coefficient(()) == pytest.approx(target, abs=1e-9)
     for mono, coeff in out.terms.items():

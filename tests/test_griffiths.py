@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from rotorlab.algebra import ModelDims, constant, one, variable
+from rotorlab import griffiths
+from rotorlab.algebra import GAUSSIAN, ModelDims, constant, one, variable
 from rotorlab.errors import InputError, ViolationError
 from rotorlab.griffiths import (
     GriffithsReport,
@@ -14,6 +15,7 @@ from rotorlab.griffiths import (
     check_second,
     random_cone_poly,
     run_random_suite,
+    second_report,
     write_counterexample,
 )
 
@@ -70,6 +72,28 @@ def test_check_second_dims_mismatch():
         check_second(variable(D23, 1, 2), variable(D33, 1, 2))
 
 
+def test_check_second_refuses_gaussian_mode():
+    x12 = variable(D23, 1, 2, mode=GAUSSIAN)
+    with pytest.raises(InputError, match="integrates over spheres"):
+        check_second(x12, x12)
+
+
+def test_second_report_takes_any_moment():
+    # under a point mass at u12 = 1/2, E[fg] = E[f]E[g] for every pair
+    f = variable(D33, 1, 2, 2) + 1
+    g = 3 * variable(D33, 1, 2)
+
+    def point_mass(p):
+        return sum((c * Fraction(1, 2) ** sum(e for _, e in m) for m, c in p.terms.items()),
+                   Fraction(0))
+
+    report = second_report(f, g, point_mass)
+    assert (report.Ef, report.Eg, report.gap) == (Fraction(5, 4), Fraction(3, 2), 0)
+    assert report.verdict == "holds"
+    with pytest.raises(InputError, match="not in the cone"):
+        second_report(-f, g, point_mass)
+
+
 def test_random_cone_poly_determinism():
     a = random_cone_poly(D33, 4, 5, seed=7)
     b = random_cone_poly(D33, 4, 5, seed=7)
@@ -108,7 +132,7 @@ def test_gap_properties_randomized():
 
 def test_run_random_suite_clean(tmp_path):
     reports = run_random_suite(
-        10, seed=3, dims_choices=[D23, D33], degree_budget=4, term_count=2,
+        10, seed=3, ns=(2, 3), site_counts=(3,), degree_budget=4, term_count=2,
         counterexample_dir=str(tmp_path),
     )
     assert len(reports) == 10
@@ -116,15 +140,30 @@ def test_run_random_suite_clean(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_run_random_suite_serializes_violations(tmp_path):
-    def broken_checker(f, g):
+def test_run_random_suite_pins_the_criterion_3_stream():
+    # (n, N, gap) of the first five cases of criterion 3 at seed 7, as the
+    # suite's own loop produced them before it called this sweep
+    reports = run_random_suite(200, 7, (2, 3, 5), (2, 3, 4))
+    got = [(r.model.split()[1], r.model.split()[2], r.gap) for r in reports[:5]]
+    assert got == [
+        ("n=3", "N=2", Fraction(1130, 1911)),
+        ("n=2", "N=4", Fraction(0)),
+        ("n=5", "N=2", Fraction(0)),
+        ("n=2", "N=3", Fraction(11447, 102400)),
+        ("n=2", "N=2", Fraction(7467, 16384)),
+    ]
+
+
+def test_run_random_suite_serializes_violations(tmp_path, monkeypatch):
+    def broken_check(f, g):
         return GriffithsReport("fake", Fraction(0), Fraction(0), Fraction(0),
                                Fraction(-1), "violated")
 
+    monkeypatch.setattr(griffiths, "check_second", broken_check)
     with pytest.raises(ViolationError) as err:
         run_random_suite(
-            3, seed=3, dims_choices=[D23], degree_budget=2, term_count=1,
-            counterexample_dir=str(tmp_path), checker=broken_checker,
+            3, seed=3, ns=(2,), site_counts=(3,), degree_budget=2, term_count=1,
+            counterexample_dir=str(tmp_path),
         )
     path = err.value.counterexample_path
     assert path is not None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotorlab import mc
 from rotorlab.algebra import GAUSSIAN, ModelDims, one, variable
 from rotorlab.errors import InputError
 from rotorlab.gaussian import covariance, ferro_from_rows
@@ -93,6 +94,17 @@ def test_weighted_rejects_negative_coupling():
     with pytest.raises(InputError):
         estimate_moment(variable(dims, 1, 2), 10_000, seed=3,
                         coupling={(1, 2): Fraction(-1)})
+
+
+def test_coupling_is_rejected_before_any_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the coupling was validated")
+
+    monkeypatch.setattr(mc, "_sphere_batch", no_sampling)
+    dims = ModelDims(3, 2)
+    with pytest.raises(InputError, match="not ferromagnetic"):
+        estimate_moment(variable(dims, 1, 2), 100_000, seed=3,
+                        coupling={(2, 1): Fraction(1, 2), (1, 2): Fraction(-1)})
 
 
 def test_constant_polynomial_zero_stderr():

@@ -1,4 +1,4 @@
-"""Sphere moment engine: Wick sums, elimination, oracle equivalence."""
+"""Sphere moment engine: radial moments, elimination, oracle equivalence, truncations."""
 
 import itertools
 import math
@@ -25,7 +25,6 @@ from rotorlab.moments import (
     sphere_moment,
     sphere_moment_oracle,
 )
-from rotorlab.wick import double_factorial, pairings, wick_sum
 
 
 def all_monomials(dims, max_degree):
@@ -37,34 +36,6 @@ def all_monomials(dims, max_degree):
         for exps in itertools.product(range(total + 1), repeat=len(pairs)):
             if sum(exps) == total:
                 yield tuple((pair, e) for pair, e in zip(pairs, exps) if e)
-
-
-def test_pairings_counts():
-    for labels in ([1, 2], [1, 2, 3, 4], list(range(6)), list(range(8))):
-        matchings = list(pairings(labels))
-        assert len(matchings) == double_factorial(len(labels) - 1)
-        # each matching covers every label exactly once
-        for m in matchings:
-            flat = sorted(x for pair in m for x in pair)
-            assert flat == sorted(labels)
-    assert list(pairings([1, 2, 3])) == []
-
-
-def test_wick_sum_examples():
-    assert wick_sum(["a", "a"], lambda x, y: 1) == 1
-    assert wick_sum(["a"] * 4, lambda x, y: 1) == 3
-    assert wick_sum(["s1", "s2", "s3"], lambda x, y: 1) == 0
-
-
-def test_wick_sum_polynomial_valued():
-    dims = MD(3, 3)
-    u = {frozenset(p): variable(dims, *p) for p in [(1, 2), (1, 3), (2, 3)]}
-
-    def inner(a, b):
-        return one(dims) if a == b else u[frozenset((a, b))]
-
-    got = wick_sum([2, 2, 3, 3], inner, one=one(dims))
-    assert got == one(dims) + 2 * variable(dims, 2, 3) ** 2
 
 
 def gaussian_radial_moment_quadrature(n, d):
