@@ -159,18 +159,6 @@ def mono_sites(m: Mono) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def renumber_mono(m: Mono) -> Mono:
-    """Compact the sites of a monomial to 1..k, preserving their order.
-
-    Expectations are invariant under site relabeling, so this is the memo key
-    used by the moment engines.
-    """
-    relabel = {s: k + 1 for k, s in enumerate(mono_sites(m))}
-    return tuple(
-        sorted((((relabel[i], relabel[j]), p) for (i, j), p in m))
-    )
-
-
 class DotPolynomial:
     """Finite rational linear combination of dot-product monomials.
 

@@ -49,6 +49,15 @@ class KernelSpec:
             raise InputError(f"kernel needs a finite t > 0, got {self.t!r}")
         if self.nodes < 16:
             raise InputError(f"node count must be >= 16, got {self.nodes}")
+        if self.nodes > _node_cap(self.n):
+            raise InputError(
+                f"node count must be <= {_node_cap(self.n)} for n={self.n}, got {self.nodes}"
+            )
+
+
+def _node_cap(n: int) -> int:
+    """Largest rule the refinement may reach: trapezoid for n = 2, Gauss-Jacobi above."""
+    return MAX_NODES_TRAPEZOID if n == 2 else MAX_NODES_JACOBI
 
 
 def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +83,7 @@ def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _refine(n: int, start: int, evaluate) -> float:
     """Double the node count until two successive estimates agree."""
-    cap = MAX_NODES_TRAPEZOID if n == 2 else MAX_NODES_JACOBI
+    cap = _node_cap(n)
     m = max(16, start)
     previous = evaluate(*_nodes(n, m))
     while m * 2 <= cap:

@@ -41,7 +41,7 @@ from .algebra import (
     mono_mul,
     to_float_poly,
 )
-from .errors import InputError, ViolationError
+from .errors import InputError, ResourceLimitError, ViolationError
 from .griffiths import GriffithsReport, second_report
 from .heat import (
     DEFAULT_BASIS_CAP,
@@ -53,6 +53,11 @@ from .heat import (
 )
 from .numerics import expm
 from .wick import vector_moment
+
+MAX_TROTTER_STEPS = 1 << 12
+"""Bound on the Trotter steps of one :func:`trotter_compare` call, summed over
+its powers; each step substitutes into and heat-smooths the whole state.
+Acceptance criterion 11 takes 508 steps."""
 
 
 @dataclass(frozen=True)
@@ -383,13 +388,18 @@ def trotter_compare(
     negative coefficient seen after every Trotter factor (cone monitoring
     for cone inputs).
     """
+    for m in ms:
+        if m < 1:
+            raise InputError(f"Trotter power must be >= 1, got {m}")
+    if sum(ms) > MAX_TROTTER_STEPS:
+        raise ResourceLimitError(
+            f"Trotter powers {list(ms)} need {sum(ms)} steps, above the limit of {MAX_TROTTER_STEPS}"
+        )
     semi = ou_invariant_basis(p, f, cap)
     reference = semi.evolve(p, t)
     track_cone = p.is_cone()
     points = []
     for m in ms:
-        if m < 1:
-            raise InputError(f"Trotter power must be >= 1, got {m}")
         step = t / m
         step_matrix = matrix_semigroup(f, step)
         state = to_float_poly(p)

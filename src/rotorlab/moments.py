@@ -5,15 +5,22 @@ normalized surface measures by eliminating one site at a time: the factors
 attached to the chosen site are converted to a Gaussian integral, summed
 over perfect matchings of the partner spins, and divided by the radial
 moment of the degree that the conversion introduced.  The elimination runs
-in integers: per monomial it carries N = R * S, where S is the sphere
-moment and R the product of the radial moments of its site degrees.  N is
-the monomial's identity-covariance Gaussian moment, so it is an integer,
-and one ``Fraction(N, R)`` is built per monomial at the end.
-``eliminate_site`` shares the same integer kernel and divides by the
-radial moment once per monomial.  ``sphere_moment_oracle`` computes the
-same quantity along an entirely different route (one global Isserlis sum
-over all sites at once, normalized by the per-site radial moments); the
-acceptance bundle uses it to cross-check the elimination engine.
+on exponent vectors: each monomial is converted once to its K present
+sites, relabelled 0..K-1, and the tuple of its exponents over all K(K-1)/2
+pairs.  A child is the parent vector with the eliminated site's slots
+zeroed, the pairing fragment's slots added, and the eliminated site (and
+any partner left with degree 0) dropped by one precomputed selector per
+(K, kept sites), so no child is relabelled or re-sorted.  The arithmetic is
+in integers: per vector it carries N = R * S, where S is the sphere moment
+and R the product of the radial moments of its site degrees.  N is the
+monomial's identity-covariance Gaussian moment, so it is an integer, and
+one ``Fraction(N, R)`` is built per monomial at the end.  ``eliminate_site``
+runs the same kernel, maps the children back through the monomial's site
+labels and divides by the radial moment once per monomial.
+``sphere_moment_oracle`` computes the same quantity along an entirely
+different route (one global Isserlis sum over all sites at once, normalized
+by the per-site radial moments); the acceptance bundle uses it to
+cross-check the elimination engine.
 
 ``interacting_moment`` adds a ferromagnetic weight exp(sum J_ij u_ij), the
 strengths given as an :class:`algebra.Coupling` or a raw table that it
@@ -28,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Mapping
 
 from . import wick
@@ -41,13 +49,16 @@ from .algebra import (
     Pair,
     mono_mul,
     mono_sites,
-    renumber_mono,
     site_degrees,
 )
 from .errors import InputError, NumericError
 
+MEMO_SIZE = 1 << 16
+"""Entries kept by each moment memo.  The ``exact`` benchmark workload visits
+18,813 elimination states, so 2^16 keeps every one of them."""
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=MEMO_SIZE)
 def radial_moment(n: int, d: int) -> int:
     """E |x|^d for a standard Gaussian vector in R^n: n(n+2)...(n+d-2).
 
@@ -62,62 +73,127 @@ def radial_moment(n: int, d: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _partner_pairing_sum(labels: tuple[int, ...]) -> tuple[tuple[Mono, int], ...]:
+# The elimination runs on exponent vectors: a monomial on K sites, relabelled
+# 0..K-1 in order, as the tuple of its exponents over all K(K-1)/2 pairs.
+# Pairs are ordered colexicographically, (0,1), (0,2), (1,2), (0,3), ..., so
+# the slot of a pair does not depend on K and a pairing fragment's slots are
+# computed once for every K.
+Vec = tuple[int, ...]
+
+
+def _slot(a: int, b: int) -> int:
+    """Slot of the pair a < b in an exponent vector."""
+    return b * (b - 1) // 2 + a
+
+
+def _vector(mono: Mono) -> tuple[tuple[int, ...], Vec]:
+    """The monomial's sorted site labels and its exponent vector over them.
+
+    The vector grows as the square of the site count, so a monomial on more
+    sites than any elimination can nest through is refused before it is built.
+    """
+    sites = mono_sites(mono)
+    wick.require_depth(len(sites), f"eliminating {len(sites)} sites")
+    index = {s: k for k, s in enumerate(sites)}
+    vec = [0] * _slot(0, len(sites))
+    for (i, j), p in mono:
+        vec[_slot(index[i], index[j])] = p
+    return sites, tuple(vec)
+
+
+def _pair(slot: int) -> Pair:
+    """The pair (a, b) held by a slot: the inverse of :func:`_slot`."""
+    b = (1 + math.isqrt(8 * slot + 1)) // 2
+    return slot - b * (b - 1) // 2, b
+
+
+def _degrees(vec: Vec) -> list[int]:
+    """Per-site degrees of a non-empty exponent vector; every site is present."""
+    degs = [0] * _pair(len(vec))[1]  # K sites fill _slot(0, K) slots
+    for slot in compress(range(len(vec)), vec):
+        a, b = _pair(slot)
+        degs[a] += vec[slot]
+        degs[b] += vec[slot]
+    return degs
+
+
+@lru_cache(maxsize=1024)
+def _incidence(sites: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The (slot, partner) of every pair at site k, partners ascending."""
+    return tuple((_slot(min(k, j), max(k, j)), j) for j in range(sites) if j != k)
+
+
+@lru_cache(maxsize=1024)
+def _compaction(sites: int, kept_mask: int) -> tuple[tuple[int, ...], bytes]:
+    """The sites in ``kept_mask``, ascending, and the selector of the slots of their pairs."""
+    row = bytes(kept_mask >> s & 1 for s in range(sites))
+    kept = tuple(s for s in range(sites) if row[s])
+    # slots b(b-1)/2 .. b(b-1)/2 + b - 1 hold the pairs (a, b), a < b
+    return kept, b"".join(row[:b] if row[b] else bytes(b) for b in range(sites))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _partner_pairing_sum(labels: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """Sum over perfect matchings of partner sites, aggregated by resulting monomial.
 
     ``labels`` is the sorted multiset of partner sites of the eliminated
     site.  A pair of equal labels contributes 1 (unit spins), a pair of
-    distinct labels contributes u_{ab}.  The first label is matched with
-    each partner in turn, and identical partners are grouped, so the work
-    is polynomial in the multiset shape rather than (L-1)!!.
+    distinct labels contributes u_{ab}.  Each resulting monomial comes as
+    ``(slots, mask, mult)``: the slot of each factor u_ab (repeated by its
+    exponent), the bitmask of the sites those factors touch, and the number
+    of matchings that give it.  The first label is matched with each partner
+    in turn, and identical partners are grouped, so the work is polynomial
+    in the multiset shape rather than (L-1)!!.
     """
     if not labels:
-        return ((CONST_MONO, 1),)
+        return (((), 0, 1),)
     first = labels[0]
     rest = labels[1:]
-    out: dict[Mono, int] = {}
+    out: dict[tuple[int, ...], list[int]] = {}
     index = 0
     while index < len(rest):
         partner = rest[index]
         count = 1
         while index + count < len(rest) and rest[index + count] == partner:
             count += 1
-        sub = _partner_pairing_sum(rest[:index] + rest[index + 1:])
-        factor: Mono = () if partner == first else (((first, partner), 1),)
-        for mono, mult in sub:
-            key = mono_mul(mono, factor)
-            out[key] = out.get(key, 0) + count * mult
-        index += count
-    return tuple(sorted(out.items()))
-
-
-def _eliminate_mono(mono: Mono, k: int) -> tuple[int, list[tuple[Mono, int]]]:
-    """Integrate site k out of one monomial, up to the radial moment.
-
-    Returns the degree d of site k and integer terms: the partial integral is
-    sum(mult * m') / radial_moment(n, d).  No terms when d is odd.
-    """
-    partners: list[int] = []
-    rest: list[tuple[Pair, int]] = []
-    for (i, j), p in mono:
-        if i == k:
-            partners.extend([j] * p)
-        elif j == k:
-            partners.extend([i] * p)
+        if partner == first:
+            extra, bits = (), 0
         else:
-            rest.append(((i, j), p))
-    degree = len(partners)
-    if degree == 0:
-        return 0, [(mono, 1)]
-    if degree % 2:
-        return degree, []
-    wick.require_depth(degree // 2, f"pairing the {degree} partners of site {k}")
-    rest_mono = tuple(rest)
-    return degree, [
-        (mono_mul(rest_mono, frag), mult)
-        for frag, mult in _partner_pairing_sum(tuple(sorted(partners)))
-    ]
+            extra, bits = (_slot(first, partner),), (1 << first) | (1 << partner)
+        for slots, mask, mult in _partner_pairing_sum(rest[:index] + rest[index + 1:]):
+            entry = out.setdefault(tuple(sorted(slots + extra)), [mask | bits, 0])
+            entry[1] += count * mult
+        index += count
+    return tuple((slots, mask, mult) for slots, (mask, mult) in out.items())
+
+
+def _eliminate(vec: Vec, degs: list[int], k: int) -> list[tuple[Vec, tuple[int, ...], int]]:
+    """Integrate site k out of an exponent vector, up to the radial moment.
+
+    ``degs`` are the vector's site degrees, and site k's is even and
+    positive.  Returns ``(child, kept, mult)`` terms: the partial integral is
+    sum(mult * child) / radial_moment(n, degs[k]), each child being the
+    exponent vector over the sites ``kept`` (old indices, ascending): every
+    site but k whose degree stays positive.
+    """
+    base = list(vec)
+    labels: list[int] = []
+    kept_mask = ((1 << len(degs)) - 1) ^ (1 << k)
+    for slot, partner in _incidence(len(degs), k):
+        p = base[slot]
+        if p:
+            base[slot] = 0
+            labels.extend([partner] * p)
+            if degs[partner] == p:
+                kept_mask &= ~(1 << partner)
+    out = []
+    for slots, mask, mult in _partner_pairing_sum(tuple(labels)):
+        child = base.copy()
+        for slot in slots:
+            child[slot] += 1
+        kept, selector = _compaction(len(degs), kept_mask | mask)
+        out.append((tuple(compress(child, selector)), kept, mult))
+    return out
 
 
 def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
@@ -128,9 +204,20 @@ def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
         raise InputError(f"site {k} out of range 1..{p.dims.sites}")
     table: dict[Mono, Fraction] = {}
     for mono, coeff in p.terms.items():
-        degree, terms = _eliminate_mono(mono, k)
-        if not terms:  # odd degree at site k
+        # only the pairs at site k are integrated; the rest multiplies each child
+        star = tuple(term for term in mono if k in term[0])
+        degree = sum(e for _, e in star)
+        if degree % 2:
             continue
+        terms = [(mono, 1)]
+        if star:
+            wick.require_depth(degree // 2, f"pairing the {degree} partners of site {k}")
+            rest = tuple(term for term in mono if k not in term[0])
+            sites, vec = _vector(star)
+            terms = [
+                (mono_mul(rest, _relabel(child, [sites[s] for s in kept])), mult)
+                for child, kept, mult in _eliminate(vec, _degrees(vec), sites.index(k))
+            ]
         scaled = coeff / radial_moment(p.dims.n, degree)
         for new_mono, mult in terms:
             merged = table.get(new_mono, Fraction(0)) + scaled * mult
@@ -141,36 +228,43 @@ def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
     return DotPolynomial._raw(p.dims, p.mode, table)
 
 
-@lru_cache(maxsize=None)
-def _mono_moment(mono: Mono, n: int) -> tuple[int, int]:
+def _relabel(vec: Vec, labels: list[int]) -> Mono:
+    """The monomial of an exponent vector whose site a carries ``labels[a]``."""
+    out = []
+    for slot in compress(range(len(vec)), vec):
+        a, b = _pair(slot)
+        out.append(((labels[a], labels[b]), vec[slot]))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _mono_moment(vec: Vec, n: int) -> tuple[int, int]:
     """(N, R) with R = prod radial_moment(n, d_i) and N = R * sphere moment.
 
-    N is the monomial's identity-covariance Gaussian moment, an integer, so
+    ``vec`` is the exponent vector of a monomial on all of its sites.  N is
+    the monomial's identity-covariance Gaussian moment, an integer, so
     the elimination below runs in integers.  A child m' of m lowers every
     site degree by an even amount, so R_rest // R(m') is exact, R_rest being
     R without the eliminated site's factor.
     """
-    if not mono:
+    if not vec:
         return 1, 1
-    degs: dict[int, int] = {}
-    for (i, j), p in mono:
-        degs[i] = degs.get(i, 0) + p
-        degs[j] = degs.get(j, 0) + p
-    if any(d % 2 for d in degs.values()):
+    degs = _degrees(vec)
+    if any(d % 2 for d in degs):
         return 0, 1
     # one frame per site still to eliminate, plus the deepest pairing sum;
     # site degrees never grow under elimination
-    top = max(degs.values())
+    top = max(degs)
     wick.require_depth(len(degs) + top // 2, f"eliminating {len(degs)} sites of degree up to {top}")
     radial = 1
-    for d in degs.values():
+    for d in degs:
         radial *= radial_moment(n, d)
     # eliminating the lowest-degree site first keeps the pairing sums small
-    site = min(degs, key=lambda s: (degs[s], s))
+    site = degs.index(min(degs))
     rest_radial = radial // radial_moment(n, degs[site])
     total = 0
-    for new_mono, mult in _eliminate_mono(mono, site)[1]:
-        sub, sub_radial = _mono_moment(renumber_mono(new_mono), n)
+    for child, _, mult in _eliminate(vec, degs, site):
+        sub, sub_radial = _mono_moment(child, n)
         total += mult * (rest_radial // sub_radial) * sub
     return total, radial
 
@@ -181,7 +275,7 @@ def sphere_moment(p: DotPolynomial) -> Fraction:
         raise InputError("sphere_moment acts on sphere-mode polynomials")
     total = Fraction(0)
     for mono, coeff in p.terms.items():
-        scaled, radial = _mono_moment(renumber_mono(mono), p.dims.n)
+        scaled, radial = _mono_moment(_vector(mono)[1], p.dims.n)
         total += coeff * Fraction(scaled, radial)
     return total
 
@@ -199,16 +293,16 @@ def sphere_moment_oracle(mono: Mono, dims: ModelDims) -> Fraction:
         return Fraction(0)
     if not mono:
         return Fraction(1)
-    compact = renumber_mono(mono)
-    size = len(mono_sites(compact))
-    identity = [[Fraction(i == j) for j in range(size)] for i in range(size)]
+    index = {s: k for k, s in enumerate(mono_sites(mono))}
+    identity = [[Fraction(i == j) for j in range(len(index))] for i in range(len(index))]
     factors = []
-    for (i, j), p in compact:
-        factors.extend([(i - 1, j - 1)] * p)
+    for (i, j), p in mono:
+        factors.extend([(index[i], index[j])] * p)
     gauss = wick.vector_moment(factors, identity, dims.n)
     norm = 1
-    for d in site_degrees(compact, ModelDims(dims.n, size)):
-        norm *= radial_moment(dims.n, d)
+    for d in degs:
+        if d:
+            norm *= radial_moment(dims.n, d)
     return gauss / norm
 
 
@@ -290,7 +384,6 @@ def _tail_gap(strength_sum: Fraction, order: int, p_sum: Fraction, value: Fracti
 
 
 def clear_caches() -> None:
-    radial_moment.cache_clear()
-    _partner_pairing_sum.cache_clear()
-    _mono_moment.cache_clear()
+    for memo in (radial_moment, _partner_pairing_sum, _mono_moment, _incidence, _compaction):
+        memo.cache_clear()
     wick.clear_caches()

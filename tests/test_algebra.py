@@ -19,7 +19,6 @@ from rotorlab.algebra import (
     polynomial_from_dict,
     polynomial_to_dict,
     read_json,
-    renumber_mono,
     save_polynomial,
     site_degrees,
     variable,
@@ -131,12 +130,6 @@ def test_relabel_preserves_cone():
     for _ in range(10):
         p = random_poly(D33, SPHERE, rng, signed=False)
         assert p.relabel([2, 3, 1]).is_cone()
-
-
-def test_renumber_mono():
-    p = variable(ModelDims(2, 5), 2, 4) * variable(ModelDims(2, 5), 4, 5)
-    m = next(iter(p.terms))
-    assert renumber_mono(m) == (((1, 2), 1), ((2, 3), 1))
 
 
 @pytest.mark.parametrize("mode", [SPHERE, GAUSSIAN])

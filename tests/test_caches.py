@@ -1,4 +1,4 @@
-"""Package memos: clear_caches reaches every one, and the Isserlis memo is bounded."""
+"""Package memos: clear_caches reaches every one, and the moment memos are bounded."""
 
 import rotorlab
 from rotorlab import chernoff, moments, wick, zonal
@@ -16,6 +16,8 @@ def memo_sizes():
         "mono": moments._mono_moment.cache_info().currsize,
         "nodes": len(chernoff._node_cache),
         "gegenbauer": zonal.gegenbauer_coefficients.cache_info().currsize,
+        "incidence": moments._incidence.cache_info().currsize,
+        "compaction": moments._compaction.cache_info().currsize,
     }
 
 
@@ -39,3 +41,10 @@ def test_wick_memo_keeps_a_fixed_number_of_covariances():
     for cov in covs:
         gaussian_moment(p, cov)
     assert len(wick._memos) == wick.MEMO_SLOTS
+
+
+def test_moment_memos_have_a_bound():
+    for memo in (moments.radial_moment, moments._partner_pairing_sum, moments._mono_moment,
+                 moments._incidence, moments._compaction):
+        assert memo.cache_info().maxsize is not None, memo
+    assert moments._mono_moment.cache_info().maxsize >= 1 << 16

@@ -8,6 +8,8 @@ import pytest
 from scipy.special import eval_chebyt, eval_legendre, ive
 
 from rotorlab.chernoff import (
+    MAX_NODES_JACOBI,
+    MAX_NODES_TRAPEZOID,
     ChernoffPoint,
     KernelSpec,
     chernoff_table,
@@ -83,6 +85,11 @@ def test_kernel_spec_validation():
             KernelSpec(2, t)
     with pytest.raises(InputError):
         KernelSpec(2, 0.5, nodes=4)
+    assert KernelSpec(2, 0.5, nodes=MAX_NODES_TRAPEZOID).nodes == MAX_NODES_TRAPEZOID
+    assert KernelSpec(3, 0.5, nodes=MAX_NODES_JACOBI).nodes == MAX_NODES_JACOBI
+    for n, cap in ((2, MAX_NODES_TRAPEZOID), (3, MAX_NODES_JACOBI), (5, MAX_NODES_JACOBI)):
+        with pytest.raises(InputError, match=f"<= {cap}"):
+            KernelSpec(n, 0.5, nodes=cap + 1)
 
 
 def test_lambda0_is_one_exactly():

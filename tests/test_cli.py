@@ -339,6 +339,23 @@ def test_normalization_rejects_empty_grid(capsys):
     assert captured.out == "" and "no points" in captured.err
 
 
+def test_gaussian_trotter_caps_total_steps(capsys, tmp_path, ferro_file):
+    path = tmp_path / "x12.json"
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), str(path))
+    assert main(["gaussian", "trotter", "--input", str(path), "--F", ferro_file,
+                 "--t", "1.0", "--m", "100000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "steps, above the limit" in captured.err
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_chernoff_rejects_oversized_node_start(capsys, n):
+    assert main(["chernoff", "--n", n, "--l", "1", "--t", "1.0", "--m", "8",
+                 "--nodes", "4000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "node count must be <=" in captured.err
+
+
 def test_chernoff_validates_before_printing(capsys):
     assert main(["chernoff", "--n", "3", "--l", "2", "--t", "0.5", "--m", "0"]) == 2
     assert capsys.readouterr().out == ""

@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotorlab import ratlin
+from rotorlab import gaussian, ratlin
 from rotorlab.algebra import GAUSSIAN, DotPolynomial, ModelDims, constant, one, variable
-from rotorlab.errors import InputError
+from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.gaussian import (
     check_gaussian_griffiths,
     covariance,
@@ -396,6 +396,19 @@ def test_trotter_convergence_and_cone(n):
     tail = len(ms) // 2
     assert fitted_order(ms[tail:], errors[tail:]) >= 0.8
     assert report.cone_preserved
+
+
+def test_trotter_steps_are_capped_before_the_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("the basis was built")
+
+    v12 = variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN)
+    monkeypatch.setattr(gaussian, "ou_invariant_basis", no_basis)
+    for ms in ([gaussian.MAX_TROTTER_STEPS + 1], [gaussian.MAX_TROTTER_STEPS, 1]):
+        with pytest.raises(ResourceLimitError, match="steps"):
+            trotter_compare(v12, F2, 1.0, ms)
+    with pytest.raises(InputError):
+        trotter_compare(v12, F2, 1.0, [4, 0])
 
 
 def test_trotter_diagonal_coupling():

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+import rotorlab
+from rotorlab import moments
 from rotorlab.algebra import (
     SPHERE,
     DotPolynomial,
@@ -17,7 +19,7 @@ from rotorlab.algebra import (
     one,
     variable,
 )
-from rotorlab.errors import InputError
+from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.moments import (
     eliminate_site,
     interacting_moment,
@@ -276,3 +278,80 @@ def test_interacting_rejects_non_cone():
     dims = MD(3, 2)
     with pytest.raises(InputError):
         interacting_moment(-one(dims), {})
+
+
+def test_vector_keeps_present_sites_in_order():
+    # sites 2, 4, 5 become 0, 1, 2; slots run (0,1), (0,2), (1,2)
+    m = next(iter((variable(MD(2, 5), 2, 4) * variable(MD(2, 5), 4, 5, 3)).terms))
+    assert moments._vector(m) == ((2, 4, 5), (1, 0, 3))
+    assert moments._vector(()) == ((), ())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eliminate_site_keeps_original_labels(n):
+    dims = MD(n, 5)
+    u = lambda i, j, p=1: variable(dims, i, j, p)
+    r2 = Fraction(1, n * (n + 2))
+    # a middle site: partners 1, 1, 5, 5; both drop out when they pair up
+    got = eliminate_site(u(1, 3, 2) * u(3, 5, 2) * u(2, 4, 2), 3)
+    assert got == r2 * (u(2, 4, 2) + 2 * u(1, 5, 2) * u(2, 4, 2))
+    # partner 2 loses its only pair, partner 4 keeps u45
+    got = eliminate_site(u(2, 3) * u(3, 4) * u(4, 5), 3)
+    assert got == Fraction(1, n) * u(2, 4) * u(4, 5)
+    # a site the monomial does not touch passes it through
+    assert eliminate_site(u(2, 4, 2), 3) == u(2, 4, 2)
+    # odd degree at the site integrates to zero, other terms survive
+    assert eliminate_site(u(1, 3) + u(2, 5, 2), 3) == u(2, 5, 2)
+
+
+def vanishing_partner_shapes(sites):
+    """Monomials where eliminating a site leaves a partner with degree 0."""
+    u = lambda i, j, p: (((i, j), p),)
+    yield u(1, 2, 2) + u(1, 3, 2)
+    yield u(1, 2, 2) + u(3, 4, 2)
+    yield u(1, 2, 4) + u(2, 3, 2) + u(4, 5, 2)
+    yield tuple(sorted(u(1, sites, 2) + u(2, 3, 2) + u(3, sites, 2)))
+
+
+@pytest.mark.parametrize("sites", [7, 8])
+def test_sphere_moment_matches_oracle_on_many_sites(sites):
+    rng = random.Random(sites)
+    monos = list(vanishing_partner_shapes(sites))
+    monos += [random_even_monomial(rng, sites, 4) for _ in range(6)]
+    for n in (2, 3, 5):
+        dims = MD(n, sites)
+        for mono in monos:
+            p = DotPolynomial(dims, SPHERE, [(mono, Fraction(1))])
+            assert sphere_moment(p) == sphere_moment_oracle(mono, dims), (n, mono)
+
+
+def test_mono_moment_visits_pinned_states():
+    # the memo's hits and misses count the elimination states; any change to
+    # which children the kernel builds, or how it keys them, moves them
+    rotorlab.clear_caches()
+    for n in (2, 3):
+        dims = MD(n, 5)
+        u = lambda i, j, p=1: variable(dims, i, j, p)
+        for p in (
+            u(1, 2, 2) * u(1, 3, 2),
+            u(1, 2, 2) * u(3, 4, 2) * u(4, 5, 2),
+            (u(1, 2) * u(2, 3) * u(1, 3) + u(4, 5)) ** 2,
+            (u(1, 2) + u(2, 3) + u(3, 4) + u(4, 5) + u(1, 5)) ** 4,
+        ):
+            sphere_moment(p)
+    info = moments._mono_moment.cache_info()
+    assert (info.hits, info.misses) == (64, 106)
+    assert moments._partner_pairing_sum.cache_info().misses == 8
+
+
+def test_many_sites_are_refused_before_their_vector_is_built():
+    dims = MD(3, 1000)
+    chain = tuple(((i, i + 1), 2) for i in range(1, 1000))
+    p = DotPolynomial(dims, SPHERE, [(chain, Fraction(1))])
+    with pytest.raises(ResourceLimitError, match="eliminating 1000 sites"):
+        sphere_moment(p)
+    # one site only pairs its partners 499 and 501, so this stays cheap
+    got = eliminate_site(p, 500)
+    rest = tuple(term for term in chain if 500 not in term[0])
+    bridge = tuple(sorted(rest + (((499, 501), 2),)))
+    assert got.terms == {rest: Fraction(1, 15), bridge: Fraction(2, 15)}
