@@ -42,7 +42,6 @@ from .gaussian import (
     check_gaussian_griffiths,
     covariance,
     ferro_from_rows,
-    flow_map,
     gaussian_laplacian,
     gaussian_moment,
     matrix_semigroup,
@@ -59,7 +58,7 @@ from .heat import (
     heat_evolve,
     laplacian,
 )
-from .mc import MCEstimate, estimate_moment, sample_sphere
+from .mc import MCEstimate, estimate_moment
 from .moments import (
     eliminate_site,
     interacting_moment,

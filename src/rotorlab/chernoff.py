@@ -31,6 +31,11 @@ REL_TOL = 1e-12
 MAX_NODES_TRAPEZOID = 1 << 21
 MAX_NODES_JACOBI = 1 << 14
 
+NODE_CACHE_BUDGET = 1 << 22
+"""Nodes the quadrature rule cache may hold, 16 bytes each (64 MiB in all).
+Once a new rule pushes the total past it, the oldest rules go first; one rule
+at the n = 2 cap takes about half of it."""
+
 _node_cache: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -78,6 +83,8 @@ def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         alpha = (n - 3) / 2.0
         pair = roots_jacobi(m, alpha, alpha)
     _node_cache[key] = pair
+    while len(_node_cache) > 1 and sum(len(w) for _, w in _node_cache.values()) > NODE_CACHE_BUDGET:
+        del _node_cache[next(iter(_node_cache))]
     return pair
 
 

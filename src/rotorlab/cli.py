@@ -81,10 +81,14 @@ def parse_grid(text: str) -> list[float]:
 
 
 def parse_int_list(text: str) -> list[int]:
+    """A non-empty comma-separated list of integers."""
     try:
-        return [int(b) for b in text.split(",") if b]
+        out = [int(b) for b in text.split(",") if b]
     except ValueError as exc:
         raise InputError(f"bad integer list {text!r}: {exc}") from exc
+    if not out:
+        raise InputError(f"integer list {text!r} has no entries")
+    return out
 
 
 def _check_paths(*paths: str | None) -> None:

@@ -11,18 +11,21 @@ Expectations never touch the partition function: they are Isserlis sums
 with covariance F^{-1} per vector component, so everything stays rational.
 
 The generator decomposes as A = (flat Laplacian) - (drift grad Q . grad)
-with Q = sum F_ij x_i.x_j / 2.  On the dot-product algebra the Laplacian
-lowers total degree by 2 (so its exponential is a finite series) and the
-drift preserves degree, which keeps every monomial inside a finite
-A-invariant subspace.  That subspace is built by the same engine as the
-sphere heat semigroup (:func:`heat.close_basis`, exact sparse columns, one
-float exponential); the Trotter comparison runs entirely inside it.
+with Q = sum F_ij x_i.x_j / 2; one monomial map applies it.  The flat
+Laplacian is the one whose contraction rules the sphere operators are
+restricted from (:mod:`heat`).  On the dot-product algebra it lowers total
+degree by 2 (so its exponential is a finite series) and the drift
+preserves degree, which keeps every monomial inside a finite A-invariant
+subspace.  That subspace is built by the same engine as the sphere heat
+semigroup (:func:`heat.close_basis`, exact sparse columns, one float
+exponential); the Trotter comparison runs entirely inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +49,10 @@ from .griffiths import GriffithsReport, second_report
 from .heat import (
     DEFAULT_BASIS_CAP,
     InvariantSubspace,
+    Weight,
     _add,
+    _flat_laplacian_mono,
+    _pair,
     apply_generator,
     check_time,
     close_basis,
@@ -178,52 +184,6 @@ def matrix_semigroup(f: FerroMatrix, t: float) -> np.ndarray:
 
 # -- generator pieces ---------------------------------------------------------
 
-def _pair(i: int, j: int) -> Pair:
-    return (i, j) if i <= j else (j, i)
-
-
-def _grad_contract(p: Pair, q: Pair) -> dict[Pair, int]:
-    """sum_i grad_i v_p . grad_i v_q as integer combinations of pair variables.
-
-    grad_i (x_a . x_b) = [i == a] x_b + [i == b] x_a, which makes a diagonal
-    v_aa contribute its factor of 2 automatically when (a, a) repeats in the
-    enumeration below.
-    """
-    a, b = p
-    c, d = q
-    out: dict[Pair, int] = {}
-    for left, right in ((a, b), (b, a)):
-        for cleft, cright in ((c, d), (d, c)):
-            if left == cleft:
-                key = _pair(right, cright)
-                out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _flat_laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, Fraction]:
-    """Flat Laplacian over all sites; lowers total degree by exactly 2.
-
-    Delta v_ii = 2n and Delta v_ij = 0 for i != j; the second-order Leibniz
-    terms go through :func:`_grad_contract`.
-    """
-    n = dims.n
-    out: dict[Mono, Fraction] = {}
-    pairs = list(mono)
-    for (a, b), e in pairs:
-        if a == b:
-            _add(out, mono_div(mono, (a, b)), Fraction(2 * n * e))
-    for idx1, (p, e1) in enumerate(pairs):
-        if e1 >= 2:
-            base = mono_div(mono, p, 2)
-            for bridge_pair, w in _grad_contract(p, p).items():
-                _add(out, mono_mul(base, ((bridge_pair, 1),)), Fraction(e1 * (e1 - 1) * w))
-        for q, e2 in pairs[idx1 + 1:]:
-            base = mono_div(mono_div(mono, p), q)
-            for bridge_pair, w in _grad_contract(p, q).items():
-                _add(out, mono_mul(base, ((bridge_pair, 1),)), Fraction(2 * e1 * e2 * w))
-    return out
-
-
 def gaussian_laplacian(p: DotPolynomial) -> DotPolynomial:
     """Flat Laplacian sum over sites on the gaussian dot-product algebra."""
     if p.mode != GAUSSIAN:
@@ -249,18 +209,31 @@ def _drift_mono(mono: Mono, f: FerroMatrix) -> dict[Mono, Fraction]:
     return out
 
 
-def drift(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
-    """The vector field grad Q . grad applied exactly."""
+def _ou_mono(mono: Mono, dims: ModelDims, f: FerroMatrix) -> dict[Mono, Weight]:
+    """A = Delta - grad Q . grad on one monomial."""
+    image = _flat_laplacian_mono(mono, dims)
+    for out_mono, weight in _drift_mono(mono, f).items():
+        _add(image, out_mono, -weight)
+    return image
+
+
+def _require_operand(p: DotPolynomial, f: FerroMatrix, what: str) -> None:
     if p.mode != GAUSSIAN:
-        raise InputError("drift acts on gaussian-mode polynomials")
+        raise InputError(f"{what} acts on gaussian-mode polynomials")
     if f.size != p.dims.sites:
         raise InputError(f"coupling is {f.size}x{f.size} but N={p.dims.sites}")
+
+
+def drift(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
+    """The vector field grad Q . grad applied exactly."""
+    _require_operand(p, f, "drift")
     return apply_generator(p, lambda mono, dims: _drift_mono(mono, f))
 
 
 def ou_generator(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
     """A = Delta - grad Q . grad, the Ornstein-Uhlenbeck generator."""
-    return gaussian_laplacian(p) - drift(p, f)
+    _require_operand(p, f, "ou_generator")
+    return apply_generator(p, partial(_ou_mono, f=f))
 
 
 # -- semigroup factors --------------------------------------------------------
@@ -283,21 +256,6 @@ def heat_apply(p: FloatPolynomial | DotPolynomial, s: float) -> FloatPolynomial:
         for mono, coeff in current.items():
             result[mono] = result.get(mono, 0.0) + coeff
     return FloatPolynomial(dims, GAUSSIAN, {m: c for m, c in result.items() if c != 0.0})
-
-
-def flow_map(
-    p: FloatPolynomial | DotPolynomial,
-    f: FerroMatrix,
-    t: float,
-) -> FloatPolynomial:
-    """Substitute x_k -> sum_a exp(-tF)_{ka} x_a, lifted to pair variables.
-
-    The substitution matrix is entrywise non-negative for valid couplings,
-    so the lifted map preserves the cone coefficientwise.
-    """
-    fp = to_float_poly(p) if isinstance(p, DotPolynomial) else p
-    s_matrix = matrix_semigroup(f, t)
-    return _substitute(fp, s_matrix)
 
 
 def _substitute(fp: FloatPolynomial, s_matrix: np.ndarray) -> FloatPolynomial:
@@ -349,16 +307,8 @@ def ou_invariant_basis(
 ) -> InvariantSubspace:
     """The OU generator A on the smallest A-closed monomial set containing p's terms."""
     require_valid(f)
-    if f.size != p.dims.sites:
-        raise InputError(f"coupling is {f.size}x{f.size} but N={p.dims.sites}")
-
-    def generator(mono: Mono, dims: ModelDims) -> dict[Mono, Fraction]:
-        image = dict(_flat_laplacian_mono(mono, dims))
-        for out_mono, weight in _drift_mono(mono, f).items():
-            _add(image, out_mono, -weight)
-        return image
-
-    return close_basis(p.terms.keys(), p.dims, GAUSSIAN, generator, cap)
+    _require_operand(p, f, "the OU invariant basis")
+    return close_basis(p.terms.keys(), p.dims, GAUSSIAN, partial(_ou_mono, f=f), cap)
 
 
 @dataclass(frozen=True)

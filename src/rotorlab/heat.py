@@ -1,17 +1,18 @@
 """Spherical Laplacian, Dirichlet form and heat flow on the dot-product algebra.
 
-The Laplace-Beltrami operator on each sphere acts on the pair variables
-through three closed contraction rules:
+The second-order contraction rules are the flat ones for R^n-valued spins,
+with v_ab = x_a . x_b: Delta v_aa = 2n, Delta v_ab = 0 (a != b) and
+grad_i v_ab = [i=a] x_b + [i=b] x_a, extended by the Leibniz rule.  The
+Gaussian OU generator uses them as they stand; the sphere operators restrict
+them to |x_i| = 1.  A monomial m of degree d_i in site i is homogeneous, so
+(Dai & Xu, Approximation Theory and Harmonic Analysis on Spheres and Balls,
+ch. 1)
 
-    lap_i u_ij            = -(n-1) u_ij
-    grad_i u_ij . grad_i u_ij = 1 - u_ij^2
-    grad_i u_ij . grad_i u_ik = u_jk - u_ij u_ik          (j != k)
-    grad_i u_jk           = 0 whenever i is not an endpoint
+    lap m           = (Delta m)|_{v_ii=1} - sum_i d_i (d_i + n - 2) m
+    grad f . grad h = (flat grad f . grad h)|_{v_ii=1} - sum_i d_i^f d_i^h f h.
 
-extended to monomials with the Leibniz rule
-lap_i(ab) = a lap_i b + b lap_i a + 2 grad_i a . grad_i b.  None of the
-rules ever raises a per-site degree and all preserve per-site parity, so
-every monomial generates a finite Laplacian-invariant subspace; the heat
+Neither raises a per-site degree and both preserve per-site parity, so every
+monomial generates a finite Laplacian-invariant subspace; the heat
 semigroup is the matrix exponential on that subspace.
 
 This module also holds the one invariant-subspace engine that the sphere
@@ -41,6 +42,7 @@ from .algebra import (
     Pair,
     mono_div,
     mono_mul,
+    site_degrees,
 )
 from .errors import InputError, ResourceLimitError
 from .moments import sphere_moment
@@ -48,16 +50,8 @@ from .numerics import expm
 
 DEFAULT_BASIS_CAP = 5000
 
-Generator = Callable[[Mono, ModelDims], dict[Mono, Fraction]]
-
-
-def _incidence(mono: Mono) -> dict[int, list[tuple[Pair, int, int]]]:
-    """site -> [(pair, exponent, other endpoint)] for the pairs touching it."""
-    table: dict[int, list[tuple[Pair, int, int]]] = {}
-    for (i, j), p in mono:
-        table.setdefault(i, []).append(((i, j), p, j))
-        table.setdefault(j, []).append(((i, j), p, i))
-    return table
+Weight = Fraction | int  # integer operators keep plain ints
+Generator = Callable[[Mono, ModelDims], dict[Mono, Weight]]
 
 
 def _add(table: dict, mono: Mono, coeff) -> None:
@@ -70,7 +64,7 @@ def _add(table: dict, mono: Mono, coeff) -> None:
 
 
 def apply_generator(p: DotPolynomial, generator: Generator) -> DotPolynomial:
-    """Extend a monomial map generator(mono, dims) -> {mono: Fraction} linearly to p."""
+    """Extend a monomial map generator(mono, dims) -> {mono: Weight} linearly to p."""
     table: dict[Mono, Fraction] = {}
     for mono, coeff in p.terms.items():
         for out_mono, weight in generator(mono, p.dims).items():
@@ -78,26 +72,65 @@ def apply_generator(p: DotPolynomial, generator: Generator) -> DotPolynomial:
     return DotPolynomial._raw(p.dims, p.mode, table)
 
 
-def _laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, Fraction]:
+def _pair(i: int, j: int) -> Pair:
+    return (i, j) if i <= j else (j, i)
+
+
+def _grad_contract(p: Pair, q: Pair) -> dict[Pair, int]:
+    """sum_i grad_i v_p . grad_i v_q as integer combinations of pair variables.
+
+    grad_i (x_a . x_b) = [i == a] x_b + [i == b] x_a, which makes a diagonal
+    v_aa contribute its factor of 2 automatically when (a, a) repeats in the
+    enumeration below.
+    """
+    a, b = p
+    c, d = q
+    out: dict[Pair, int] = {}
+    for left, right in ((a, b), (b, a)):
+        for cleft, cright in ((c, d), (d, c)):
+            if left == cleft:
+                key = _pair(right, cright)
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _flat_laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, int]:
+    """Flat Laplacian over all sites; lowers total degree by exactly 2.
+
+    Delta v_ii = 2n and Delta v_ij = 0 for i != j; the second-order Leibniz
+    terms go through :func:`_grad_contract`.  Every weight is an integer.
+    """
     n = dims.n
-    out: dict[Mono, Fraction] = {}
-    for site, incident in _incidence(mono).items():
-        degree = sum(p for _, p, _ in incident)
-        _add(out, mono, Fraction(-(n - 1) * degree))
-        for pair, p, _ in incident:
-            if p >= 2:
-                c = Fraction(p * (p - 1))
-                _add(out, mono_div(mono, pair, 2), c)
-                _add(out, mono, -c)
-        for a in range(len(incident)):
-            pair_a, pa, ja = incident[a]
-            for b in range(a + 1, len(incident)):
-                pair_b, pb, jb = incident[b]
-                c = Fraction(2 * pa * pb)
-                base = mono_div(mono_div(mono, pair_a), pair_b)
-                bridge: Mono = ((tuple(sorted((ja, jb))), 1),)
-                _add(out, mono_mul(base, bridge), c)
-                _add(out, mono, -c)
+    out: dict[Mono, int] = {}
+    pairs = list(mono)
+    for (a, b), e in pairs:
+        if a == b:
+            _add(out, mono_div(mono, (a, b)), 2 * n * e)
+    for idx1, (p, e1) in enumerate(pairs):
+        if e1 >= 2:
+            base = mono_div(mono, p, 2)
+            for bridge_pair, w in _grad_contract(p, p).items():
+                _add(out, mono_mul(base, ((bridge_pair, 1),)), e1 * (e1 - 1) * w)
+        for q, e2 in pairs[idx1 + 1:]:
+            contract = _grad_contract(p, q)
+            if contract:
+                base = mono_div(mono_div(mono, p), q)
+                for bridge_pair, w in contract.items():
+                    _add(out, mono_mul(base, ((bridge_pair, 1),)), 2 * e1 * e2 * w)
+    return out
+
+
+def _on_sphere(mono: Mono) -> Mono:
+    """Restrict to unit spins: every diagonal pair v_ii = |sigma_i|^2 becomes 1."""
+    return tuple(item for item in mono if item[0][0] != item[0][1])
+
+
+def _laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, int]:
+    """(Flat Laplacian)|_{v_ii = 1} - sum_i d_i (d_i + n - 2) on a degree-(d_i) monomial."""
+    out: dict[Mono, int] = {}
+    for flat_mono, weight in _flat_laplacian_mono(mono, dims).items():
+        _add(out, _on_sphere(flat_mono), weight)
+    _add(out, mono, -sum(d * (d + dims.n - 2) for d in site_degrees(mono, dims)))
     return out
 
 
@@ -116,21 +149,19 @@ def grad_dot(f: DotPolynomial, h: DotPolynomial) -> DotPolynomial:
         raise InputError(f"dims mismatch: {f.dims} vs {h.dims}")
     table: dict[Mono, Fraction] = {}
     for m1, c1 in f.terms.items():
-        inc1 = _incidence(m1)
+        deg1 = site_degrees(m1, f.dims)
         for m2, c2 in h.terms.items():
-            inc2 = _incidence(m2)
-            for site in inc1.keys() & inc2.keys():
-                for pair_a, pa, ja in inc1[site]:
-                    left = mono_div(m1, pair_a)
-                    for pair_b, pb, jb in inc2[site]:
-                        coeff = c1 * c2 * pa * pb
-                        base = mono_mul(left, mono_div(m2, pair_b))
-                        if ja == jb:
-                            _add(table, base, coeff)
-                        else:
-                            bridge: Mono = ((tuple(sorted((ja, jb))), 1),)
-                            _add(table, mono_mul(base, bridge), coeff)
-                        _add(table, mono_mul(m1, m2), -coeff)
+            coeff = c1 * c2
+            radial = sum(a * b for a, b in zip(deg1, site_degrees(m2, f.dims)))
+            _add(table, mono_mul(m1, m2), -coeff * radial)
+            for p, e1 in m1:
+                for q, e2 in m2:
+                    contract = _grad_contract(p, q)
+                    if contract:
+                        base = mono_mul(mono_div(m1, p), mono_div(m2, q))
+                        for bridge, w in contract.items():
+                            bridged = _on_sphere(mono_mul(base, ((bridge, 1),)))
+                            _add(table, bridged, coeff * e1 * e2 * w)
     return DotPolynomial._raw(f.dims, f.mode, table)
 
 
@@ -149,14 +180,14 @@ def check_time(t: float, what: str) -> None:
 class InvariantSubspace:
     """A generator restricted to a finite monomial basis that it maps into itself.
 
-    columns[j] is the exact image {mono: Fraction} of basis[j]; every
+    columns[j] is the exact image {mono: Weight} of basis[j]; every
     monomial it names is in the basis.  Floats enter only in as_float.
     """
 
     dims: ModelDims
     mode: str
     basis: tuple[Mono, ...]
-    columns: tuple[dict[Mono, Fraction], ...]
+    columns: tuple[dict[Mono, Weight], ...]
 
     @cached_property
     def _positions(self) -> dict[Mono, int]:

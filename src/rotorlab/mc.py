@@ -42,14 +42,6 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point on S^{n-1} via a normalized Gaussian draw."""
-    if n < 2:
-        raise InputError(f"sphere sampling needs n >= 2, got {n}")
-    vec = rng.standard_normal(n)
-    return vec / np.linalg.norm(vec)
-
-
 def _sphere_batch(dims, rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, sites, n) array of independent uniform unit spins."""
     raw = rng.standard_normal((count, dims.sites, dims.n))

@@ -48,3 +48,17 @@ def test_moment_memos_have_a_bound():
                  moments._incidence, moments._compaction):
         assert memo.cache_info().maxsize is not None, memo
     assert moments._mono_moment.cache_info().maxsize >= 1 << 16
+
+
+def test_node_cache_keeps_to_its_budget(monkeypatch):
+    rotorlab.clear_caches()
+    monkeypatch.setattr(chernoff, "NODE_CACHE_BUDGET", 300)
+    for m in (16, 32, 64, 128):  # 17 + 33 + 65 + 129 trapezoid nodes fit
+        chernoff._nodes(2, m)
+    assert len(chernoff._node_cache) == 4
+    chernoff._nodes(2, 256)  # 257 more: the oldest rules go until the total fits
+    assert list(chernoff._node_cache) == [("trap", 2, 256)]
+    chernoff._nodes(3, 16)
+    assert list(chernoff._node_cache) == [("trap", 2, 256), ("jacobi", 3, 16)]
+    rotorlab.clear_caches()
+    assert not chernoff._node_cache

@@ -53,6 +53,8 @@ def test_parse_grid():
     with pytest.raises(InputError):
         parse_grid("a:1:2")
     assert parse_int_list("8,16") == [8, 16]
+    with pytest.raises(InputError, match="no entries"):
+        parse_int_list(",")
 
 
 @pytest.mark.parametrize("text", ["0:1:inf", "-inf:1:0", "0:inf:1", "nan:1:2", "0:1:1e400"])
@@ -337,6 +339,18 @@ def test_normalization_rejects_empty_grid(capsys):
     assert main(["normalization", "--n", "3", "--t-grid", "1:1:0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "no points" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "--n", "3", "--l", "1", "--t", "1.0", "--m", ","],
+    ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1.0", "--m", ","],
+])
+def test_empty_integer_list_exits_2(capsys, tmp_path, ferro_file, argv):
+    path = tmp_path / "x12.json"
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), str(path))
+    assert main([a.replace("{x}", str(path)).replace("{F}", ferro_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "has no entries" in captured.err
 
 
 def test_gaussian_trotter_caps_total_steps(capsys, tmp_path, ferro_file):

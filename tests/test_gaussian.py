@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from rotorlab import gaussian, ratlin
-from rotorlab.algebra import GAUSSIAN, DotPolynomial, ModelDims, constant, one, variable
+from rotorlab.algebra import (
+    GAUSSIAN,
+    DotPolynomial,
+    ModelDims,
+    constant,
+    one,
+    to_float_poly,
+    variable,
+)
 from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.gaussian import (
     check_gaussian_griffiths,
@@ -17,7 +25,6 @@ from rotorlab.gaussian import (
     drift,
     ferro_from_dict,
     ferro_from_rows,
-    flow_map,
     gaussian_laplacian,
     gaussian_moment,
     heat_apply,
@@ -289,6 +296,16 @@ def test_semigroup_approximant_converges():
     assert errors[-1] < 1e-3
 
 
+def flow_map(p, f, t):
+    """Substitute x_k -> sum_a exp(-tF)_{ka} x_a, lifted to pair variables.
+
+    The substitution matrix is entrywise non-negative for valid couplings,
+    so the lifted map preserves the cone coefficientwise.
+    """
+    fp = to_float_poly(p) if isinstance(p, DotPolynomial) else p
+    return gaussian._substitute(fp, matrix_semigroup(f, t))
+
+
 def test_flow_map_examples():
     dims = ModelDims(2, 2)
     x12 = variable(dims, 1, 2, mode=GAUSSIAN)
@@ -328,6 +345,14 @@ def test_drift_example():
     v22 = variable(dims, 2, 2, mode=GAUSSIAN)
     assert drift(v12, F2) == 4 * v12 - v11 - v22
     assert ou_generator(one(dims, GAUSSIAN), F2) == 0
+
+
+@pytest.mark.parametrize("operator", [drift, ou_generator, ou_invariant_basis])
+def test_generators_check_their_operand(operator):
+    with pytest.raises(InputError, match="gaussian-mode"):
+        operator(variable(ModelDims(2, 2), 1, 2), F2)
+    with pytest.raises(InputError, match="coupling is 2x2 but N=3"):
+        operator(variable(ModelDims(2, 3), 1, 2, mode=GAUSSIAN), F2)
 
 
 def test_integration_by_parts_exact():

