@@ -88,19 +88,33 @@ def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _refine(n: int, start: int, evaluate) -> float:
-    """Double the node count until two successive estimates agree."""
-    cap = _node_cap(n)
-    m = max(16, start)
-    previous = evaluate(*_nodes(n, m))
-    while m * 2 <= cap:
-        m *= 2
-        current = evaluate(*_nodes(n, m))
-        if abs(current - previous) <= REL_TOL * max(1.0, abs(current)):
-            return current
-        previous = current
+def _refine(spec: KernelSpec, evaluate) -> float:
+    """Double the node count until two successive estimates agree.
+
+    Estimates are evaluated with numpy's divide and invalid warnings off: a
+    non-finite one means the kernel exp((s - 1)/2t) underflowed on the rule
+    (Gauss-Jacobi nodes never reach s = 1), which stops the refinement at once.
+    """
+    cap = _node_cap(spec.n)
+    m = max(16, spec.nodes)
+    estimates: tuple[float, ...] = ()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            current = evaluate(*_nodes(spec.n, m))
+            if not math.isfinite(current):
+                raise QuadratureError(
+                    f"kernel underflow at t={spec.t!r} (n={spec.n}): estimate not finite",
+                    m, estimates[-1:] + (current,),
+                )
+            if estimates and abs(current - estimates[-1]) <= REL_TOL * max(1.0, abs(current)):
+                return current
+            estimates = estimates[-1:] + (current,)
+            if m * 2 > cap:
+                break
+            m *= 2
     raise QuadratureError(
-        f"quadrature did not reach {REL_TOL} relative agreement within {cap} nodes (n={n})"
+        f"quadrature did not reach {REL_TOL} relative agreement within {cap} nodes (n={spec.n})",
+        m, estimates,
     )
 
 
@@ -114,7 +128,7 @@ def funk_hecke_eigenvalue(spec: KernelSpec, l: int) -> float:
         kernel = w * np.exp((s - 1.0) * half_rate)
         return float((kernel * gegenbauer(spec.n, l, s)).sum() / kernel.sum())
 
-    return _refine(spec.n, spec.nodes, estimate)
+    return _refine(spec, estimate)
 
 
 @dataclass(frozen=True)
@@ -163,7 +177,7 @@ def normalization_constant(spec: KernelSpec) -> NormalizationPoint:
     def estimate(s: np.ndarray, w: np.ndarray) -> float:
         return float(w.sum() / (w * np.exp((s - 1.0) * half_rate)).sum())
 
-    c = _refine(spec.n, spec.nodes, estimate)
+    c = _refine(spec, estimate)
     leading = sphere_area(spec.n) * (4.0 * math.pi * spec.t) ** (-(spec.n - 1) / 2.0)
     return NormalizationPoint(spec.t, c, c / leading - 1.0)
 

@@ -25,7 +25,18 @@ class NumericError(RuntimeError):
 
 
 class QuadratureError(NumericError):
-    """Quadrature refinement did not converge within the node-count cap."""
+    """Quadrature refinement stopped without converging.
+
+    Carries ``nodes``, the node count reached, and ``estimates``, the last two
+    estimates (just one if refinement stopped at its first rule); the message
+    states both.
+    """
+
+    def __init__(self, message: str, nodes: int, estimates: tuple[float, ...]):
+        shown = ", ".join(repr(e) for e in estimates)
+        super().__init__(f"{message}; reached {nodes} nodes, last estimates {shown}")
+        self.nodes = nodes
+        self.estimates = estimates
 
 
 class ResourceLimitError(RuntimeError):

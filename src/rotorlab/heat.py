@@ -50,6 +50,10 @@ from .numerics import expm
 
 DEFAULT_BASIS_CAP = 5000
 
+DENSE_BYTES_BUDGET = 1 << 28
+"""Bytes (256 MiB) that a dense float generator and its matrix-exponential
+workspace may take: about 1,800 basis monomials."""
+
 Weight = Fraction | int  # integer operators keep plain ints
 Generator = Callable[[Mono, ModelDims], dict[Mono, Weight]]
 
@@ -197,8 +201,21 @@ class InvariantSubspace:
         return self._positions[mono]
 
     def as_float(self) -> np.ndarray:
-        """The generator as a dense float matrix, entry [i, j] = <basis_i | G basis_j>."""
-        out = np.zeros((len(self.basis), len(self.basis)))
+        """The generator as a dense float matrix, entry [i, j] = <basis_i | G basis_j>.
+
+        Refuses a basis whose generator would take more than
+        DENSE_BYTES_BUDGET with expm's workspace, before allocating it.
+        """
+        size = len(self.basis)
+        # peak of expm(t * as_float()), measured with tracemalloc: ten size x
+        # size float arrays (this matrix, its scaled copy, scipy's Pade workspace)
+        need = 10 * 8 * size * size
+        if need > DENSE_BYTES_BUDGET:
+            raise ResourceLimitError(
+                f"a dense generator on {size} monomials needs about {need >> 20} MiB with "
+                f"its expm workspace, above the budget of {DENSE_BYTES_BUDGET >> 20} MiB"
+            )
+        out = np.zeros((size, size))
         for j, image in enumerate(self.columns):
             for mono, coeff in image.items():
                 out[self._positions[mono], j] = float(coeff)
@@ -297,10 +314,10 @@ def correlation_flow(
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise InputError("the t grid must be ascending")
     sg = build_invariant_basis(g, cap=cap)
+    mat, vec = sg.as_float(), sg.vector(g)
     moments = np.array(
         [float(sphere_moment(DotPolynomial(f.dims, SPHERE, {mono: 1}) * f)) for mono in sg.basis]
     )
-    mat, vec = sg.as_float(), sg.vector(g)
     values = [float(moments @ (expm(t * mat) @ vec)) for t in ts]
     limit = float(sphere_moment(f) * sphere_moment(g))
     slack = 1e-12 * max(1.0, abs(values[0]))

@@ -6,6 +6,19 @@ Sampling is sharded with a counter-based generator (Philox keyed by
 and the partial sums still combine in fixed shard order to bit-identical
 results.  Gaussian spins are drawn through the float Cholesky factor of the
 exact rational covariance, converted once.
+
+The Philox draws define the replay, so the shard kernels only trim the numpy
+work around them, and keep every estimate bit-identical by keeping the
+summation order of the transforms they replace.  Sphere spins divide by a
+norm summed the way ``np.linalg.norm`` sums it (``add.reduce`` of the
+squares): component after component below n = 8, where that is numpy's
+order too, and by ``add.reduce`` itself from n = 8, where numpy sums
+pairwise.  Gaussian spins are formed site-major, one site's (samples, n)
+block at a time, as ``chol[i, 0] r_0 + chol[i, 1] r_1 + ...`` in order over
+the factor's lower triangle: ``einsum`` accumulates in the same order from
+n = 2, and the skipped upper-triangle terms are zeros, which leave a
+non-zero sum unchanged.  For n = 1 ``einsum`` sums in another order and is
+kept.
 """
 
 from __future__ import annotations
@@ -43,14 +56,35 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
 
 
 def _sphere_batch(dims, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, sites, n) array of independent uniform unit spins."""
+    """(count, sites, n) uniform unit spins, bit for bit ``raw / np.linalg.norm(raw, axis=2)``."""
     raw = rng.standard_normal((count, dims.sites, dims.n))
-    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    sq = raw * raw
+    if dims.n < 8:
+        norm = sq[..., 0].copy()
+        for k in range(1, dims.n):
+            norm += sq[..., k]
+    else:
+        norm = np.add.reduce(sq, axis=2)
+    np.sqrt(norm, out=norm)
+    raw /= norm[..., None]
+    return raw
 
 
 def _gaussian_batch(dims, chol: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, sites, n) spins ``chol @ raw`` per sample, bit for bit ``einsum``'s.
+
+    From n = 2 the array is a site-major view.
+    """
     raw = rng.standard_normal((count, dims.sites, dims.n))
-    return np.einsum("ij,sjc->sic", chol, raw)
+    if dims.n == 1:
+        return np.einsum("ij,sjc->sic", chol, raw)
+    r = raw.transpose(1, 0, 2)
+    out = np.empty(r.shape)
+    for i, row in enumerate(chol):
+        np.multiply(r[0], row[0], out=out[i])
+        for j in range(1, i + 1):
+            out[i] += row[j] * r[j]
+    return out.transpose(1, 0, 2)
 
 
 def _evaluate_poly(p: DotPolynomial, spins: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from rotorlab.chernoff import (
     normalization_constant,
     sphere_area,
 )
-from rotorlab.errors import InputError
+from rotorlab.errors import InputError, QuadratureError
 from rotorlab.numerics import fitted_order, loglog_slope
 from rotorlab.zonal import gegenbauer, gegenbauer_coefficients, laplace_eigenvalue
 
@@ -208,3 +208,17 @@ def test_generator_envelope(n):
     for l in range(4):
         env = generator_envelope(n, l, ts)
         assert env.within, [(p.t, p.deviation) for p in env.points]
+
+
+def test_quadrature_error_carries_nodes_and_estimates():
+    with pytest.raises(QuadratureError, match="kernel underflow at t=1e-09") as info:
+        normalization_constant(KernelSpec(4, 1e-9))
+    assert info.value.nodes == 64 and info.value.estimates == (math.inf,)
+    # agreement out of reach: a window of width ~t holds a handful of nodes
+    with pytest.raises(QuadratureError, match="did not reach") as info:
+        funk_hecke_eigenvalue(KernelSpec(3, 1e-6, MAX_NODES_JACOBI // 2), 2)
+    error = info.value
+    assert error.nodes == MAX_NODES_JACOBI and len(error.estimates) == 2
+    assert all(math.isfinite(e) for e in error.estimates)
+    assert f"reached {MAX_NODES_JACOBI} nodes" in str(error)
+    assert repr(error.estimates[1]) in str(error)

@@ -1,9 +1,11 @@
 """CLI contract: output formats, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
+from rotorlab import heat
 from rotorlab.algebra import (
     GAUSSIAN,
     ModelDims,
@@ -383,6 +385,31 @@ def test_kernel_rejects_infinite_time(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite t" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "--n", "3", "--l", "2", "--t", "1e-9", "--m", "8"],
+    ["normalization", "--n", "4", "--t-grid", "1e-9"],
+])
+def test_kernel_underflow_exits_3_without_warnings(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kernel underflow" in captured.err and "RuntimeWarning" not in captured.err
+    assert "reached 64 nodes" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--input", "{u}", "--t", "0.5"],
+    ["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0:0.5:2"],
+])
+def test_dense_generator_budget_exits_3(capsys, monkeypatch, u12sq_n2, argv):
+    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 64)
+    assert main([a.replace("{u}", u12sq_n2) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "above the budget" in captured.err
 
 
 def test_normalization_validates_before_printing(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotorlab import heat
 from rotorlab.algebra import (
     GAUSSIAN,
     DotPolynomial,
@@ -195,6 +196,21 @@ def test_basis_cap():
     p = variable(dims, 1, 2, 4) * variable(dims, 3, 4, 4)
     with pytest.raises(ResourceLimitError):
         build_invariant_basis(p, cap=3)
+
+
+def test_dense_generator_budget(monkeypatch):
+    dims = ModelDims(2, 4)
+    p = variable(dims, 1, 2, 4) * variable(dims, 3, 4, 4)
+    sg = build_invariant_basis(p)
+    size = len(sg.basis)
+    # ten size x size float64 arrays: the generator and expm's workspace
+    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * size * size)
+    assert sg.as_float().shape == (size, size)
+    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * size * size - 1)
+    for run in (sg.as_float, lambda: heat_evolve(p, 0.5),
+                lambda: correlation_flow(p, p, [0.0, 1.0])):
+        with pytest.raises(ResourceLimitError, match=f"dense generator on {size} monomials"):
+            run()
 
 
 def expm_rational(matrix, t, tol=Fraction(1, 10 ** 30)):
