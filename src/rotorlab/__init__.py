@@ -47,7 +47,6 @@ from .gaussian import (
     matrix_semigroup,
     ou_generator,
     trotter_compare,
-    validate_ferro,
 )
 from .griffiths import GriffithsReport, check_first, check_second, random_cone_poly
 from .heat import (

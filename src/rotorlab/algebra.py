@@ -24,6 +24,7 @@ pass neither as integers nor as rationals.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -492,7 +493,10 @@ def save_polynomial(p: DotPolynomial, path: str) -> None:
 
 
 def read_json(path: str, what: str) -> object:
-    """Parse a JSON input file; an unreadable file or invalid JSON is an InputError."""
+    """Parse a JSON input file; anything but a readable regular file holding
+    valid JSON is an InputError (opening a FIFO would block)."""
+    if not os.path.isfile(path):
+        raise InputError(f"input file not found: {path} (cannot read {what} file)")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

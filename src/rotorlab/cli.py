@@ -91,12 +91,6 @@ def parse_int_list(text: str) -> list[int]:
     return out
 
 
-def _check_paths(*paths: str | None) -> None:
-    for path in paths:
-        if path is not None and not os.path.isfile(path):
-            raise InputError(f"input file not found: {path}")
-
-
 def _print_griffiths(report, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report.to_dict(), indent=2))
@@ -110,7 +104,6 @@ def _print_griffiths(report, fmt: str) -> None:
 
 
 def cmd_moment(args) -> int:
-    _check_paths(args.input)
     p = load_polynomial(args.input)
     if p.mode != SPHERE:
         raise InputError("moment handles sphere-mode polynomials; see 'gaussian moment'")
@@ -125,7 +118,6 @@ def cmd_moment(args) -> int:
 
 
 def cmd_griffiths(args) -> int:
-    _check_paths(args.f, args.g)
     f = load_polynomial(args.f)
     g = load_polynomial(args.g)
     report = check_second(f, g)
@@ -141,7 +133,6 @@ def cmd_griffiths(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    _check_paths(args.input)
     p = load_polynomial(args.input)
     out = heat_evolve(p, args.t, cap=args.cap)
     for mono, coeff in out.sorted_terms():
@@ -157,7 +148,6 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_dirichlet(args) -> int:
-    _check_paths(args.f, args.h)
     f = load_polynomial(args.f)
     h = load_polynomial(args.h)
     print(render_exact(dirichlet(f, h)))
@@ -165,7 +155,6 @@ def cmd_dirichlet(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    _check_paths(args.f, args.g)
     f = load_polynomial(args.f)
     g = load_polynomial(args.g)
     flow = correlation_flow(f, g, parse_grid(args.t_grid), cap=args.cap)
@@ -198,19 +187,16 @@ def cmd_normalization(args) -> int:
 def cmd_gaussian(args) -> int:
     fmat = ferro_from_dict(read_json(args.F, "matrix"))
     if args.gaussian_action == "moment":
-        _check_paths(args.input)
         p = load_polynomial(args.input)
         print(render_exact(gaussian_moment(p, covariance(fmat))))
         return 0
     if args.gaussian_action == "griffiths":
-        _check_paths(args.f, args.g)
         report = check_gaussian_griffiths(
             load_polynomial(args.f), load_polynomial(args.g), fmat
         )
         _print_griffiths(report, args.format)
         return 0 if report.verdict == HOLDS else 1
     # trotter
-    _check_paths(args.input)
     p = load_polynomial(args.input)
     report = trotter_compare(p, fmat, args.t, parse_int_list(args.m), cap=args.cap)
     print("m,max_error,min_intermediate_coeff")
@@ -221,7 +207,6 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    _check_paths(args.input, args.J, args.F)
     p = load_polynomial(args.input)
     coupling = None
     cov = None

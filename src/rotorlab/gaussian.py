@@ -18,7 +18,12 @@ degree by 2 (so its exponential is a finite series) and the drift
 preserves degree, which keeps every monomial inside a finite A-invariant
 subspace.  That subspace is built by the same engine as the sphere heat
 semigroup (:func:`heat.close_basis`, exact sparse columns, one float
-exponential); the Trotter comparison runs entirely inside it.
+exponential).  The Trotter comparison uses it only for the reference
+exp(tA) p; its split steps substitute exp(-tF/m) into, and heat-smooth,
+float polynomials directly (:func:`_substitute`, :func:`heat_apply`).
+
+A :class:`FerroMatrix` is validated once, when it is built; the
+covariance F^{-1} comes from the same exact LDL^T factorization.
 """
 
 from __future__ import annotations
@@ -68,9 +73,32 @@ Acceptance criterion 11 takes 508 steps."""
 
 @dataclass(frozen=True)
 class FerroMatrix:
-    """Symmetric positive-definite coupling matrix with offdiag <= 0."""
+    """Symmetric positive-definite coupling matrix with offdiag <= 0.
+
+    Validated once, here: an invalid coupling matrix cannot be built.
+    """
 
     entries: ratlin.Matrix
+
+    def __post_init__(self) -> None:
+        m = self.entries
+        if any(len(row) != len(m) for row in m):  # FerroMatrix(...) may bypass freeze
+            raise InputError("matrix must be square")
+        failures = []
+        symmetric = positive_definite = ratlin.is_symmetric(m)
+        if symmetric:
+            try:
+                ratlin.ldlt(m)
+            except InputError:  # some pivot, hence some leading minor, is <= 0
+                positive_definite = False
+        if not symmetric:
+            failures.append("matrix is not symmetric")
+        if not positive_definite:
+            failures.append("matrix is not positive definite (some leading minor <= 0)")
+        if any(m[i][j] > 0 for i in range(len(m)) for j in range(len(m)) if i != j):
+            failures.append("some off-diagonal entry is positive (not ferromagnetic)")
+        if failures:
+            raise InputError("invalid coupling matrix: " + "; ".join(failures))
 
     @property
     def size(self) -> int:
@@ -93,53 +121,15 @@ def ferro_from_rows(rows: Sequence[Sequence[object]]) -> FerroMatrix:
 def ferro_from_dict(data: object) -> FerroMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise InputError("matrix JSON must be an object with an 'entries' key")
-    matrix = ferro_from_rows(data["entries"])
-    if "N" in data and not (_is_int(data["N"]) and data["N"] == matrix.size):
-        raise InputError(f"matrix says N={data['N']} but has {matrix.size} rows")
-    return matrix
-
-
-@dataclass(frozen=True)
-class FerroValidation:
-    symmetric: bool
-    positive_definite: bool
-    offdiag_nonpositive: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.positive_definite and self.offdiag_nonpositive
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.symmetric:
-            out.append("matrix is not symmetric")
-        if not self.positive_definite:
-            out.append("matrix is not positive definite (some leading minor <= 0)")
-        if not self.offdiag_nonpositive:
-            out.append("some off-diagonal entry is positive (not ferromagnetic)")
-        return out
-
-
-def validate_ferro(f: FerroMatrix) -> FerroValidation:
-    m = f.entries
-    symmetric = ratlin.is_symmetric(m)
-    pd = symmetric and ratlin.is_positive_definite(m)
-    offdiag = all(
-        m[i][j] <= 0 for i in range(len(m)) for j in range(len(m)) if i != j
-    )
-    return FerroValidation(symmetric, pd, offdiag)
-
-
-def require_valid(f: FerroMatrix) -> None:
-    check = validate_ferro(f)
-    if not check.ok:
-        raise InputError("invalid coupling matrix: " + "; ".join(check.failures()))
+    entries = ratlin.freeze(data["entries"])
+    if "N" in data and not (_is_int(data["N"]) and data["N"] == len(entries)):
+        raise InputError(f"matrix says N={data['N']} but has {len(entries)} rows")
+    return FerroMatrix(entries)
 
 
 def covariance(f: FerroMatrix) -> ratlin.Matrix:
     """Exact F^{-1}; entrywise non-negative for every valid coupling matrix."""
-    require_valid(f)
-    inv = ratlin.invert(f.entries)
+    inv = ratlin.inverse(f.entries)
     negative = [
         (i, j) for i in range(len(inv)) for j in range(len(inv)) if inv[i][j] < 0
     ]
@@ -306,7 +296,6 @@ def ou_invariant_basis(
     cap: int = DEFAULT_BASIS_CAP,
 ) -> InvariantSubspace:
     """The OU generator A on the smallest A-closed monomial set containing p's terms."""
-    require_valid(f)
     _require_operand(p, f, "the OU invariant basis")
     return close_basis(p.terms.keys(), p.dims, GAUSSIAN, partial(_ou_mono, f=f), cap)
 

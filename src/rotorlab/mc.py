@@ -126,9 +126,10 @@ def estimate_moment(
     """Monte Carlo estimate of E[p], optionally weighted by exp(sum J u).
 
     Sphere mode samples uniform spins, and ``coupling`` is validated through
-    ``Coupling.of`` before the first shard; gaussian mode needs the rational
-    covariance and refuses a coupling.  The weighted estimate is
-    self-normalized, with the influence-function standard error
+    ``Coupling.of`` before the first shard; gaussian mode needs the N x N
+    rational covariance, sized before the first shard too, and refuses a
+    coupling.  The weighted estimate is self-normalized, with the
+    influence-function standard error
     std(w (p - mean) / avg(w)) / sqrt(samples).
     """
     if samples < 1000:
@@ -138,6 +139,8 @@ def estimate_moment(
             raise InputError("gaussian-mode estimates need a covariance matrix")
         if coupling is not None:
             raise InputError("interaction weights apply to sphere mode only")
+        if len(covariance) != p.dims.sites:
+            raise InputError(f"covariance is {len(covariance)}x{len(covariance)} but N={p.dims.sites}")
         chol = np.array(ratlin.cholesky_float(covariance))
     elif covariance is not None:
         raise InputError("covariance applies to gaussian mode only")

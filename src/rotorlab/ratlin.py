@@ -23,71 +23,18 @@ def freeze(rows: Sequence[Sequence[object]]) -> Matrix:
     return out
 
 
-def identity(size: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-        for i in range(size)
-    )
-
-
 def is_symmetric(m: Matrix) -> bool:
     return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Fraction-pivoted Gaussian elimination; exact."""
-    size = len(m)
-    work = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            if work[r][col]:
-                scale = work[r][col] / pivot
-                for c in range(col, size):
-                    work[r][c] -= scale * work[col][c]
-    return det
-
-
-def leading_principal_minors(m: Matrix) -> list[Fraction]:
-    return [determinant(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(len(m))]
-
-
-def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester's criterion on exact minors (matrix assumed symmetric)."""
-    return all(minor > 0 for minor in leading_principal_minors(m))
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    size = len(m)
-    work = [list(row) + [Fraction(i == j) for j in range(size)] for i, row in enumerate(m)]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot_row is None:
-            raise InputError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                scale = work[r][col]
-                work[r] = [a - scale * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[size:]) for row in work)
 
 
 def ldlt(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     """M = L D L^T with unit lower-triangular L; requires positive pivots.
 
-    This is the exact half of a Cholesky factorization: converting L sqrt(D)
-    to floats afterwards costs one rounding per entry.
+    Reads only the lower triangle.  The pivots are the ratios of successive
+    leading principal minors, so for symmetric M they are all positive
+    exactly when M is positive definite (Sylvester's criterion).  This is
+    also the exact half of a Cholesky factorization: converting L sqrt(D) to
+    floats afterwards costs one rounding per entry.
     """
     size = len(m)
     lower = [[Fraction(0)] * size for _ in range(size)]
@@ -103,6 +50,27 @@ def ldlt(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
                 m[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
             ) / diag[j]
     return tuple(tuple(row) for row in lower), tuple(diag)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact M^{-1} = L^{-T} D^{-1} L^{-1} for symmetric positive-definite M."""
+    lower, diag = ldlt(m)
+    size = len(m)
+    # rows of L^{-1}, by forward substitution on the unit lower triangle
+    inv_lower: list[list[Fraction]] = []
+    for i in range(size):
+        row = [Fraction(0)] * size
+        row[i] = Fraction(1)
+        for j in range(i):
+            row[j] = -sum(lower[i][k] * inv_lower[k][j] for k in range(j, i))
+        inv_lower.append(row)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            out[i][j] = out[j][i] = sum(
+                inv_lower[k][i] * inv_lower[k][j] / diag[k] for k in range(i, size)
+            )
+    return tuple(tuple(row) for row in out)
 
 
 def cholesky_float(m: Matrix) -> list[list[float]]:

@@ -33,7 +33,7 @@ def gegenbauer(n: int, l: int, s):
     return cur
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def gegenbauer_coefficients(n: int, l: int) -> tuple[Fraction, ...]:
     """Exact coefficients of G_l(n, s) in s; index k is the s^k coefficient."""
     if n < 2 or l < 0:

@@ -2,8 +2,9 @@
 and the CLI's lean import.
 
 ``bench/tracing.py`` wraps ``numerics.expm``, ``heat.build_invariant_basis``,
-``gaussian.ou_invariant_basis`` and ``griffiths.check_second`` wherever
-rotorlab binds them and reads ``.basis`` off the bases they return.
+``gaussian.ou_invariant_basis``, ``gaussian.covariance`` and
+``griffiths.check_second`` wherever rotorlab binds them and reads
+``.basis`` off the bases they return.
 ``bench/workloads.py`` passes couplings as raw ``{pair: Fraction}`` dicts.
 These tests fail if a rename or a refactor leaves the traced counters
 reading zero or stops accepting those inputs.
@@ -57,6 +58,19 @@ def test_tracer_sees_the_random_sweep():
     finally:
         tracer.uninstall()
     assert metrics["griffiths.check_second_s"] > 0
+
+
+def test_tracer_sees_the_covariance():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        x12 = variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN)
+        gaussian.check_gaussian_griffiths(x12, x12, gaussian.ferro_from_rows([[2, -1], [-1, 2]]))
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["gaussian.covariance_s"] > 0
 
 
 def test_raw_coupling_dicts_are_accepted():

@@ -1,4 +1,4 @@
-"""Package memos: clear_caches reaches every one, and the moment memos are bounded."""
+"""Package memos: clear_caches reaches every one, and the lru memos are bounded."""
 
 import rotorlab
 from rotorlab import chernoff, moments, wick, zonal
@@ -45,7 +45,7 @@ def test_wick_memo_keeps_a_fixed_number_of_covariances():
 
 def test_moment_memos_have_a_bound():
     for memo in (moments.radial_moment, moments._partner_pairing_sum, moments._mono_moment,
-                 moments._incidence, moments._compaction):
+                 moments._incidence, moments._compaction, zonal.gegenbauer_coefficients):
         assert memo.cache_info().maxsize is not None, memo
     assert moments._mono_moment.cache_info().maxsize >= 1 << 16
 

@@ -1,10 +1,15 @@
 """CLI contract: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import rotorlab
 from rotorlab import heat
 from rotorlab.algebra import (
     GAUSSIAN,
@@ -135,6 +140,68 @@ def test_malformed_matrix_is_input_error(tmp_path, capsys, data, sites):
     assert main(["gaussian", "moment", "--input", str(path), "--F", str(fp)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "input error" in captured.err
+
+
+INVALID_MATRICES = {
+    "asymmetric": [["2", "-1"], ["0", "2"]],
+    "not positive definite": [["1", "-2"], ["-2", "1"]],
+    "positive off-diagonal": [["2", "1"], ["1", "2"]],
+}
+
+
+@pytest.mark.parametrize("rows", INVALID_MATRICES.values(), ids=INVALID_MATRICES.keys())
+@pytest.mark.parametrize("command", ["moment", "griffiths", "trotter", "mc"])
+def test_invalid_coupling_matrix_exits_2(tmp_path, capsys, rows, command):
+    path = str(tmp_path / "x12.json")
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), path)
+    fp = tmp_path / "F.json"
+    fp.write_text(json.dumps({"N": 2, "entries": rows}))
+    argv = {
+        "moment": ["gaussian", "moment", "--input", path],
+        "griffiths": ["gaussian", "griffiths", "--f", path, "--g", path],
+        "trotter": ["gaussian", "trotter", "--input", path, "--t", "1.0", "--m", "4"],
+        "mc": ["mc", "--input", path, "--samples", "2000"],
+    }[command]
+    assert main(argv + ["--F", str(fp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid coupling matrix" in captured.err
+
+
+@pytest.mark.parametrize("sites, size", [(2, 3), (3, 2)])
+def test_mc_covariance_size_mismatch_exits_2(tmp_path, capsys, sites, size):
+    path = tmp_path / "p.json"
+    save_polynomial(variable(ModelDims(2, sites), 1, 2, 2, mode=GAUSSIAN), str(path))
+    fp = tmp_path / "F.json"
+    fp.write_text(json.dumps({"entries": [[size if i == j else -1 for j in range(size)]
+                                          for i in range(size)]}))
+    assert main(["mc", "--input", str(path), "--F", str(fp), "--samples", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"covariance is {size}x{size} but N={sites}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian", "moment", "--input", "{p}", "--F", "{fifo}"],
+    ["gaussian", "moment", "--input", "{fifo}", "--F", "{F}"],
+    ["moment", "--input", "{u}", "--J", "{fifo}"],
+    ["mc", "--input", "{p}", "--F", "{fifo}", "--samples", "2000"],
+])
+def test_fifo_input_exits_2_without_blocking(tmp_path, ferro_file, argv):
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    p = tmp_path / "x12.json"
+    save_polynomial(variable(ModelDims(1, 2), 1, 2, mode=GAUSSIAN), str(p))
+    u = tmp_path / "u12.json"
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, 2), str(u))
+    names = {"fifo": str(fifo), "p": str(p), "F": ferro_file, "u": str(u)}
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorlab.__file__).resolve().parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "rotorlab.cli", *(a.format(**names) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert f"input file not found: {fifo}" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_boolean_coefficient_is_input_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from rotorlab.algebra import (
 )
 from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.gaussian import (
+    FerroMatrix,
     check_gaussian_griffiths,
     covariance,
     drift,
@@ -33,7 +34,6 @@ from rotorlab.gaussian import (
     ou_invariant_basis,
     random_ferro,
     trotter_compare,
-    validate_ferro,
 )
 from rotorlab.griffiths import random_cone_poly
 from rotorlab.moments import radial_moment
@@ -138,29 +138,114 @@ def test_vector_moment_radial_consistency():
             assert got == radial_moment(n, 2 * k)
 
 
-def test_validate_ferro_examples():
-    assert validate_ferro(F2).ok
-    bad = validate_ferro(ferro_from_rows([[1, 2], [2, 1]]))
-    assert not bad.ok
-    assert not bad.positive_definite and not bad.offdiag_nonpositive
-    assert validate_ferro(ferro_from_rows([[1, 0], [0, 1]])).ok
-    asym = validate_ferro(ferro_from_rows([[2, -1], [0, 2]]))
-    assert not asym.symmetric
+NOT_SYMMETRIC = "matrix is not symmetric"
+NOT_PD = "matrix is not positive definite (some leading minor <= 0)"
+POSITIVE = "some off-diagonal entry is positive (not ferromagnetic)"
+
+
+def _ferro_message(failures):
+    return "invalid coupling matrix: " + "; ".join(failures)
+
+
+INVALID_FERRO = [
+    ([[1, 2], [2, 1]], [NOT_PD, POSITIVE]),
+    ([[2, -1], [0, 2]], [NOT_SYMMETRIC, NOT_PD]),  # asymmetric counts as not PD
+    ([[2, 1], [0, 2]], [NOT_SYMMETRIC, NOT_PD, POSITIVE]),
+    ([[1, -2], [-2, 1]], [NOT_PD]),
+    ([[1, -1], [-1, 1]], [NOT_PD]),  # singular: the last leading minor is 0
+    ([[0]], [NOT_PD]),
+    ([[2, 1], [1, 2]], [POSITIVE]),
+]
+
+
+def test_invalid_ferro_matrices_cannot_be_built():
+    for rows, failures in INVALID_FERRO:
+        builders = (
+            lambda: FerroMatrix(ratlin.freeze(rows)),
+            lambda: ferro_from_rows(rows),
+            lambda: ferro_from_dict({"N": len(rows), "entries": rows}),
+        )
+        for build in builders:
+            with pytest.raises(InputError) as err:
+                build()
+            assert str(err.value) == _ferro_message(failures), rows
+
+
+def test_non_square_ferro_matrix_cannot_be_built():
+    for entries in (((Fraction(2), Fraction(-1)),), ((Fraction(2),), (Fraction(-1), Fraction(2)))):
+        with pytest.raises(InputError, match="matrix must be square"):
+            FerroMatrix(entries)
+
+
+def test_valid_ferro_matrices_build():
+    for rows in ([[2, -1], [-1, 2]], [[1, 0], [0, 1]], [[3, 0], [0, "1/2"]], []):
+        assert ferro_from_rows(rows).entries == ratlin.freeze(rows)
+
+
+def _leibniz_det(m):
+    """det by the Leibniz permutation sum: an elimination-free reference."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_construction_verdict_matches_sylvester():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(400):
+        size = rng.randint(1, 5)
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            rows[i][i] = Fraction(rng.randint(0, 12), rng.randint(1, 3))
+            for j in range(i):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-6, 1), rng.randint(1, 3))
+        if size > 1 and rng.random() < 0.2:
+            i, j = rng.sample(range(size), 2)
+            rows[i][j] -= 1
+        symmetric = all(rows[i][j] == rows[j][i] for i in range(size) for j in range(size))
+        minors = [_leibniz_det([row[:k] for row in rows[:k]]) for k in range(1, size + 1)]
+        pd = symmetric and all(d > 0 for d in minors)
+        positive = any(rows[i][j] > 0 for i in range(size) for j in range(size) if i != j)
+        failures = ([] if symmetric else [NOT_SYMMETRIC]) + ([] if pd else [NOT_PD]) + (
+            [POSITIVE] if positive else [])
+        verdicts.add(tuple(failures))
+        if failures:
+            with pytest.raises(InputError) as err:
+                ferro_from_rows(rows)
+            assert str(err.value) == _ferro_message(failures)
+        else:
+            assert ferro_from_rows(rows).entries == ratlin.freeze(rows)
+    assert {(), (NOT_PD,), (POSITIVE,), (NOT_SYMMETRIC, NOT_PD)} <= verdicts, verdicts
 
 
 def test_covariance_examples():
     assert covariance(F2) == ratlin.freeze([["2/3", "1/3"], ["1/3", "2/3"]])
     eye = ferro_from_rows([[1, 0], [0, 1]])
-    assert covariance(eye) == ratlin.identity(2)
+    assert covariance(eye) == ratlin.freeze([[1, 0], [0, 1]])
     diag = ferro_from_rows([[3, 0], [0, "1/2"]])
     assert covariance(diag) == ratlin.freeze([["1/3", 0], [0, 2]])
 
 
+def test_covariance_is_the_exact_inverse():
+    for size in range(1, 7):
+        for seed in range(6):
+            f = random_ferro(size, seed)
+            cov = covariance(f)
+            product = [
+                [sum(cov[i][k] * f.entries[k][j] for k in range(size)) for j in range(size)]
+                for i in range(size)
+            ]
+            assert product == [[int(i == j) for j in range(size)] for i in range(size)]
+
+
 def test_covariance_nonnegative_randomized():
     for seed in range(30):
-        f = random_ferro(2 + seed % 3, seed)
-        assert validate_ferro(f).ok
-        cov = covariance(f)
+        cov = covariance(random_ferro(2 + seed % 3, seed))
         assert all(x >= 0 for row in cov for x in row)
 
 

@@ -116,6 +116,19 @@ def test_coupling_is_rejected_before_any_sampling(monkeypatch):
                         coupling={(2, 1): Fraction(1, 2), (1, 2): Fraction(-1)})
 
 
+@pytest.mark.parametrize("sites, size", [(2, 3), (3, 2)])
+def test_covariance_size_is_checked_before_any_sampling(monkeypatch, sites, size):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the covariance size was checked")
+
+    monkeypatch.setattr(mc, "_gaussian_batch", no_sampling)
+    p = variable(ModelDims(2, sites), 1, 2, 2, mode=GAUSSIAN)
+    cov = covariance(ferro_from_rows([[size if i == j else -1 for j in range(size)]
+                                      for i in range(size)]))
+    with pytest.raises(InputError, match=f"covariance is {size}x{size} but N={sites}"):
+        estimate_moment(p, 2000, seed=1, covariance=cov)
+
+
 def test_constant_polynomial_zero_stderr():
     dims = ModelDims(3, 2)
     est = estimate_moment(2 * one(dims), 10_000, seed=5)
