@@ -13,6 +13,10 @@ For n = 2 the substitution s = cos(theta) turns I_l into a smooth periodic
 integral where the trapezoid rule converges spectrally; for n >= 3 the
 weight is folded into Gauss-Jacobi nodes.  Node counts double until two
 successive estimates agree to 1e-12 relative.
+
+The Gauss-Legendre and Gauss-Jacobi nodes come from scipy.special, which is
+imported when the first such rule is built, so importing the package (and
+starting the CLI) does not pay for it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import InputError, QuadratureError
+from .errors import InputError, NumericError, QuadratureError
 from .zonal import gegenbauer, laplace_eigenvalue
 
 REL_TOL = 1e-12
@@ -77,11 +80,11 @@ def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         weights[0] *= 0.5
         weights[-1] *= 0.5
         pair = (np.cos(theta), weights)
-    elif n == 3:
-        pair = roots_legendre(m)
     else:
+        from scipy.special import roots_jacobi, roots_legendre
+
         alpha = (n - 3) / 2.0
-        pair = roots_jacobi(m, alpha, alpha)
+        pair = roots_legendre(m) if n == 3 else roots_jacobi(m, alpha, alpha)
     _node_cache[key] = pair
     while len(_node_cache) > 1 and sum(len(w) for _, w in _node_cache.values()) > NODE_CACHE_BUDGET:
         del _node_cache[next(iter(_node_cache))]
@@ -159,8 +162,14 @@ def chernoff_table(spec: KernelSpec, l: int, ms: Sequence[int]) -> list[Chernoff
 
 
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^{n-1}: 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    """Surface area of the unit sphere S^{n-1}: 2 pi^{n/2} / Gamma(n/2).
+
+    Gamma(n/2) leaves the float range from n = 344 on: NumericError.
+    """
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError as exc:
+        raise NumericError(f"the area of S^{n - 1} overflows a float") from exc
 
 
 @dataclass(frozen=True)
@@ -171,14 +180,26 @@ class NormalizationPoint:
 
 
 def normalization_constant(spec: KernelSpec) -> NormalizationPoint:
-    """c(t) fixing U(t)1 = 1, compared with A_{n-1} (4 pi t)^{-(n-1)/2}."""
+    """c(t) fixing U(t)1 = 1, compared with A_{n-1} (4 pi t)^{-(n-1)/2}.
+
+    The leading term is formed before any quadrature; NumericError if it
+    leaves the positive float range.
+    """
+    try:
+        leading = sphere_area(spec.n) * (4.0 * math.pi * spec.t) ** (-(spec.n - 1) / 2.0)
+    except OverflowError:
+        leading = math.inf
+    if not (math.isfinite(leading) and leading > 0):
+        raise NumericError(
+            f"the leading term A_{spec.n - 1} (4 pi t)^(-{spec.n - 1}/2) leaves the float "
+            f"range at t={spec.t!r} (n={spec.n})"
+        )
     half_rate = 0.5 / spec.t
 
     def estimate(s: np.ndarray, w: np.ndarray) -> float:
         return float(w.sum() / (w * np.exp((s - 1.0) * half_rate)).sum())
 
     c = _refine(spec, estimate)
-    leading = sphere_area(spec.n) * (4.0 * math.pi * spec.t) ** (-(spec.n - 1) / 2.0)
     return NormalizationPoint(spec.t, c, c / leading - 1.0)
 
 

@@ -28,7 +28,7 @@ covariance F^{-1} comes from the same exact LDL^T factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -75,10 +75,15 @@ Acceptance criterion 11 takes 508 steps."""
 class FerroMatrix:
     """Symmetric positive-definite coupling matrix with offdiag <= 0.
 
-    Validated once, here: an invalid coupling matrix cannot be built.
+    Validated once, here: an invalid coupling matrix cannot be built.  The
+    exact LDL^T factors that prove it positive definite are kept in
+    ``factors`` (outside equality, hashing and repr) for the covariance.
     """
 
     entries: ratlin.Matrix
+    factors: tuple[ratlin.Matrix, tuple[Fraction, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         m = self.entries
@@ -88,7 +93,7 @@ class FerroMatrix:
         symmetric = positive_definite = ratlin.is_symmetric(m)
         if symmetric:
             try:
-                ratlin.ldlt(m)
+                object.__setattr__(self, "factors", ratlin.ldlt(m))
             except InputError:  # some pivot, hence some leading minor, is <= 0
                 positive_definite = False
         if not symmetric:
@@ -129,7 +134,7 @@ def ferro_from_dict(data: object) -> FerroMatrix:
 
 def covariance(f: FerroMatrix) -> ratlin.Matrix:
     """Exact F^{-1}; entrywise non-negative for every valid coupling matrix."""
-    inv = ratlin.inverse(f.entries)
+    inv = ratlin.inverse(*f.factors)
     negative = [
         (i, j) for i in range(len(inv)) for j in range(len(inv)) if inv[i][j] < 0
     ]
@@ -169,7 +174,7 @@ def check_gaussian_griffiths(
 def matrix_semigroup(f: FerroMatrix, t: float) -> np.ndarray:
     """exp(-tF) in floats; entrywise non-negative up to roundoff."""
     check_time(t, "the matrix semigroup")
-    return expm(-t * f.as_float())
+    return expm(f.as_float(), -t)
 
 
 # -- generator pieces ---------------------------------------------------------

@@ -3,6 +3,8 @@
 The matrix exponential is scipy's scaling-and-squaring Pade method (Higham,
 SIAM J. Matrix Anal. Appl. 26(4), 2005).  scipy.linalg is imported on first
 use, so importing the package (and starting the CLI) does not pay for it.
+A huge time can push t G, or its exponential, past the float range; expm
+refuses that with NumericError instead of returning inf or nan.
 """
 
 from __future__ import annotations
@@ -12,12 +14,25 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NumericError
 
-def expm(matrix: np.ndarray) -> np.ndarray:
-    """The float matrix exponential of a square matrix."""
-    from scipy.linalg import expm as scipy_expm
 
-    return scipy_expm(np.asarray(matrix, dtype=float))
+def expm(matrix: np.ndarray, t: float) -> np.ndarray:
+    """exp(t * matrix) in floats, for a square matrix.
+
+    NumericError, with numpy's overflow warnings silenced, when t * matrix or
+    its exponential is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = t * np.asarray(matrix, dtype=float)
+        if not np.isfinite(scaled).all():
+            raise NumericError(f"t * generator is not finite at t={t!r}")
+        from scipy.linalg import expm as scipy_expm
+
+        out = scipy_expm(scaled)
+    if not np.isfinite(out).all():
+        raise NumericError(f"the matrix exponential is not finite at t={t!r}")
+    return out
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -52,10 +52,9 @@ def ldlt(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     return tuple(tuple(row) for row in lower), tuple(diag)
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Exact M^{-1} = L^{-T} D^{-1} L^{-1} for symmetric positive-definite M."""
-    lower, diag = ldlt(m)
-    size = len(m)
+def inverse(lower: Matrix, diag: tuple[Fraction, ...]) -> Matrix:
+    """Exact M^{-1} = L^{-T} D^{-1} L^{-1} from the factors of M = L D L^T."""
+    size = len(lower)
     # rows of L^{-1}, by forward substitution on the unit lower triangle
     inv_lower: list[list[Fraction]] = []
     for i in range(size):

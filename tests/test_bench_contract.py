@@ -8,6 +8,9 @@ and the CLI's lean import.
 ``bench/workloads.py`` passes couplings as raw ``{pair: Fraction}`` dicts.
 These tests fail if a rename or a refactor leaves the traced counters
 reading zero or stops accepting those inputs.
+``import rotorlab.cli`` loads no scipy module (scipy is imported where a
+quadrature rule or a matrix exponential first needs it) but does load
+``rotorlab.chernoff``, whose import time ``bench/run.py --trace 1`` reads.
 """
 
 import importlib.util
@@ -18,9 +21,12 @@ from pathlib import Path
 
 from fractions import Fraction
 
+import pytest
+
 import rotorlab
 from rotorlab import gaussian, griffiths, heat, mc, moments
 from rotorlab.algebra import GAUSSIAN, Coupling, ModelDims, variable
+from rotorlab.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -84,10 +90,30 @@ def test_raw_coupling_dicts_are_accepted():
         p, 2000, 5, coupling=coupling)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(rotorlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, rotorlab.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # bench/run.py times rotorlab.chernoff inside `import rotorlab.cli`, so it must stay there
+    code = ("import sys, rotorlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), "
+            "'rotorlab.chernoff' in sys.modules)")
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "--n", "3", "--l", "2", "--t", "0.5", "--m", "2"],  # Gauss-Legendre nodes
+    ["normalization", "--n", "2", "--t-grid", "0.5"],                # trapezoid nodes
+    ["normalization", "--n", "4", "--t-grid", "0.5"],                # Gauss-Jacobi nodes
+])
+def test_quadrature_commands_load_scipy_on_first_use(capsys, argv):
+    done = _fresh_python("-W", "error", "-m", "rotorlab.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -19,7 +19,7 @@ from rotorlab.chernoff import (
     normalization_constant,
     sphere_area,
 )
-from rotorlab.errors import InputError, QuadratureError
+from rotorlab.errors import InputError, NumericError, QuadratureError
 from rotorlab.numerics import fitted_order, loglog_slope
 from rotorlab.zonal import gegenbauer, gegenbauer_coefficients, laplace_eigenvalue
 
@@ -164,6 +164,16 @@ def test_sphere_area_values():
     assert sphere_area(2) == pytest.approx(2 * math.pi)
     assert sphere_area(3) == pytest.approx(4 * math.pi)
     assert sphere_area(4) == pytest.approx(2 * math.pi ** 2)
+    assert math.isfinite(sphere_area(343))
+    with pytest.raises(NumericError, match="area of S\\^343 overflows"):
+        sphere_area(344)
+
+
+@pytest.mark.parametrize("n,t", [(400, 0.5), (343, 0.5), (4, 1e300), (100, 1e-9)])
+def test_normalization_leading_term_out_of_range(n, t):
+    # Gamma(n/2) overflows, or the leading term overflows or underflows to 0
+    with pytest.raises(NumericError, match="overflows|leaves the float range"):
+        normalization_constant(KernelSpec(n, t))
 
 
 def test_normalization_small_t_n2():

@@ -479,6 +479,27 @@ def test_dense_generator_budget_exits_3(capsys, monkeypatch, u12sq_n2, argv):
     assert captured.out == "" and "above the budget" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["evolve", "--input", "{u}", "--t", "1e308"], "not finite at t=1e+308"),
+    (["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0,1e308"], "not finite at t=1e+308"),
+    (["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e308", "--m", "2"],
+     "not finite at t=1e+308"),
+    (["normalization", "--n", "400", "--t-grid", "0.5"], "area of S^399 overflows"),
+])
+def test_float_overflow_exits_3_without_warnings(capsys, tmp_path, u12sq_n2, ferro_file,
+                                                 argv, message):
+    x12 = tmp_path / "x12.json"
+    save_polynomial(variable(ModelDims(1, 2), 1, 2, mode=GAUSSIAN), str(x12))
+    argv = [a.replace("{u}", u12sq_n2).replace("{x}", str(x12)).replace("{F}", ferro_file)
+            for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "RuntimeWarning" not in captured.err
+
+
 def test_normalization_validates_before_printing(capsys):
     assert main(["normalization", "--n", "3", "--t-grid", "0.1,0"]) == 2
     assert capsys.readouterr().out == ""

@@ -243,6 +243,15 @@ def test_covariance_is_the_exact_inverse():
             assert product == [[int(i == j) for j in range(size)] for i in range(size)]
 
 
+def test_ldlt_factors_are_kept_outside_equality_hash_and_repr():
+    f = random_ferro(4, 3)
+    assert f.factors == ratlin.ldlt(f.entries)
+    twin = FerroMatrix(f.entries)
+    assert twin == f and hash(twin) == hash(f)
+    assert repr(f) == f"FerroMatrix(entries={f.entries!r})"
+    assert covariance(f) == ratlin.inverse(*ratlin.ldlt(f.entries))
+
+
 def test_covariance_nonnegative_randomized():
     for seed in range(30):
         cov = covariance(random_ferro(2 + seed % 3, seed))
