@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InputError
 
@@ -135,11 +135,6 @@ def mono_div(m: Mono, pair: Pair, k: int = 1) -> Mono:
     else:
         table[pair] = have - k
     return tuple(sorted(table.items()))
-
-
-def mono_degree(m: Mono) -> int:
-    """Total degree: the number of dot-product factors counted with multiplicity."""
-    return sum(p for _, p in m)
 
 
 def site_degrees(m: Mono, dims: ModelDims) -> tuple[int, ...]:
@@ -310,34 +305,8 @@ class DotPolynomial:
     def negative_terms(self) -> list[tuple[Mono, Fraction]]:
         return [(m, c) for m, c in self.sorted_terms() if c < 0]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(CONST_MONO, Fraction(0))
-
-    def is_constant(self) -> bool:
-        return all(m == CONST_MONO for m in self.terms)
-
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def relabel(self, permutation: Sequence[int]) -> "DotPolynomial":
-        """Apply a site permutation; ``permutation[i-1]`` is the image of site i."""
-        if sorted(permutation) != list(range(1, self.dims.sites + 1)):
-            raise InputError(
-                f"not a permutation of 1..{self.dims.sites}: {list(permutation)!r}"
-            )
-        table: dict[Mono, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            moved = tuple(
-                sorted(
-                    (tuple(sorted((permutation[i - 1], permutation[j - 1]))), p)
-                    for (i, j), p in mono
-                )
-            )
-            table[moved] = coeff
-        return DotPolynomial._raw(self.dims, self.mode, table)
 
     def __repr__(self) -> str:
         sym = "u" if self.mode == SPHERE else "v"

@@ -14,25 +14,33 @@ integral where the trapezoid rule converges spectrally; for n >= 3 the
 weight is folded into Gauss-Jacobi nodes.  Node counts double until two
 successive estimates agree to 1e-12 relative.
 
-The Gauss-Legendre and Gauss-Jacobi nodes come from scipy.special, which is
-imported when the first such rule is built, so importing the package (and
-starting the CLI) does not pay for it.
+numpy is imported when the first rule is built or evaluated, and the
+Gauss-Legendre and Gauss-Jacobi nodes come from scipy.special, imported when
+the first such rule is built, so importing the package (and starting the CLI)
+pays for neither.  The harmonic degree is capped (MAX_DEGREE) before any
+quadrature, since the Gegenbauer recurrence costs O(l) on every node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .errors import InputError, NumericError, QuadratureError
+from .errors import InputError, NumericError, QuadratureError, ResourceLimitError
 from .zonal import gegenbauer, laplace_eigenvalue
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REL_TOL = 1e-12
 MAX_NODES_TRAPEZOID = 1 << 21
 MAX_NODES_JACOBI = 1 << 14
+
+MAX_DEGREE = 256
+"""Largest harmonic degree l :func:`funk_hecke_eigenvalue` accepts.  The
+Gegenbauer recurrence costs l passes over every rule the refinement builds;
+the suite uses l <= 3."""
 
 NODE_CACHE_BUDGET = 1 << 22
 """Nodes the quadrature rule cache may hold, 16 bytes each (64 MiB in all).
@@ -74,6 +82,8 @@ def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     found = _node_cache.get(key)
     if found is not None:
         return found
+    import numpy as np
+
     if n == 2:
         theta = np.linspace(0.0, math.pi, m + 1)
         weights = np.full(m + 1, math.pi / m)
@@ -98,6 +108,8 @@ def _refine(spec: KernelSpec, evaluate) -> float:
     non-finite one means the kernel exp((s - 1)/2t) underflowed on the rule
     (Gauss-Jacobi nodes never reach s = 1), which stops the refinement at once.
     """
+    import numpy as np
+
     cap = _node_cap(spec.n)
     m = max(16, spec.nodes)
     estimates: tuple[float, ...] = ()
@@ -122,9 +134,16 @@ def _refine(spec: KernelSpec, evaluate) -> float:
 
 
 def funk_hecke_eigenvalue(spec: KernelSpec, l: int) -> float:
-    """Action of the normalized kernel on degree-l zonal harmonics."""
+    """Action of the normalized kernel on degree-l zonal harmonics.
+
+    ResourceLimitError, before any quadrature, above MAX_DEGREE.
+    """
     if l < 0:
         raise InputError(f"harmonic degree must be >= 0, got {l}")
+    if l > MAX_DEGREE:
+        raise ResourceLimitError(f"harmonic degree {l} is above the cap of {MAX_DEGREE}")
+    import numpy as np
+
     half_rate = 0.5 / spec.t
 
     def estimate(s: np.ndarray, w: np.ndarray) -> float:
@@ -194,6 +213,8 @@ def normalization_constant(spec: KernelSpec) -> NormalizationPoint:
             f"the leading term A_{spec.n - 1} (4 pi t)^(-{spec.n - 1}/2) leaves the float "
             f"range at t={spec.t!r} (n={spec.n})"
         )
+    import numpy as np
+
     half_rate = 0.5 / spec.t
 
     def estimate(s: np.ndarray, w: np.ndarray) -> float:

@@ -29,7 +29,6 @@ from .griffiths import HOLDS, check_second, write_counterexample
 from .heat import DEFAULT_BASIS_CAP, correlation_flow, dirichlet, heat_evolve
 from .mc import estimate_moment
 from .moments import interacting_moment, sphere_moment
-from .suites import run_suite
 
 
 MAX_GRID_POINTS = 10_000
@@ -242,6 +241,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suites import run_suite
+
     results = run_suite(args.which, seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = 0

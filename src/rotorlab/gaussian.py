@@ -31,9 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import ratlin
 from .algebra import (
@@ -64,6 +62,9 @@ from .heat import (
 )
 from .numerics import expm
 from .wick import vector_moment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_TROTTER_STEPS = 1 << 12
 """Bound on the Trotter steps of one :func:`trotter_compare` call, summed over
@@ -110,6 +111,8 @@ class FerroMatrix:
         return len(self.entries)
 
     def as_float(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.entries])
 
     def to_dict(self) -> dict:

@@ -29,9 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .algebra import (
     SPHERE,
@@ -47,6 +45,9 @@ from .algebra import (
 from .errors import InputError, ResourceLimitError
 from .moments import sphere_moment
 from .numerics import expm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BASIS_CAP = 5000
 
@@ -215,6 +216,8 @@ class InvariantSubspace:
                 f"a dense generator on {size} monomials needs about {need >> 20} MiB with "
                 f"its expm workspace, above the budget of {DENSE_BYTES_BUDGET >> 20} MiB"
             )
+        import numpy as np
+
         out = np.zeros((size, size))
         for j, image in enumerate(self.columns):
             for mono, coeff in image.items():
@@ -223,6 +226,8 @@ class InvariantSubspace:
 
     def vector(self, p: DotPolynomial) -> np.ndarray:
         """The float coefficients of p in this basis."""
+        import numpy as np
+
         vec = np.zeros(len(self.basis))
         for mono, coeff in p.terms.items():
             vec[self.index(mono)] = float(coeff)
@@ -315,6 +320,8 @@ def correlation_flow(
         raise InputError("the t grid must be ascending")
     sg = build_invariant_basis(g, cap=cap)
     mat, vec = sg.as_float(), sg.vector(g)
+    import numpy as np
+
     moments = np.array(
         [float(sphere_moment(DotPolynomial(f.dims, SPHERE, {mono: 1}) * f)) for mono in sg.basis]
     )

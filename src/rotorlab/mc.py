@@ -25,15 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from . import ratlin
 from .algebra import GAUSSIAN, Coupling, DotPolynomial, Pair
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SHARD_SIZE = 1 << 15
+MAX_SAMPLES = 1 << 25
+"""Largest sample count :func:`estimate_moment` accepts: 1024 shards.  The
+suite's largest estimate is a 4x retry of 10^6 samples."""
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,16 @@ class MCEstimate:
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed % (1 << 64), shard], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _sphere_batch(dims, rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, sites, n) uniform unit spins, bit for bit ``raw / np.linalg.norm(raw, axis=2)``."""
+    import numpy as np
+
     raw = rng.standard_normal((count, dims.sites, dims.n))
     sq = raw * raw
     if dims.n < 8:
@@ -75,6 +83,8 @@ def _gaussian_batch(dims, chol: np.ndarray, rng: np.random.Generator, count: int
 
     From n = 2 the array is a site-major view.
     """
+    import numpy as np
+
     raw = rng.standard_normal((count, dims.sites, dims.n))
     if dims.n == 1:
         return np.einsum("ij,sjc->sic", chol, raw)
@@ -89,6 +99,8 @@ def _gaussian_batch(dims, chol: np.ndarray, rng: np.random.Generator, count: int
 
 def _evaluate_poly(p: DotPolynomial, spins: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of p on a batch of spin configurations."""
+    import numpy as np
+
     dots: dict[Pair, np.ndarray] = {}
 
     def dot(pair: Pair) -> np.ndarray:
@@ -109,6 +121,8 @@ def _evaluate_poly(p: DotPolynomial, spins: np.ndarray) -> np.ndarray:
 
 
 def _weight_values(coupling: Coupling, spins: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     exponent = np.zeros(spins.shape[0])
     for (i, j), strength in coupling.strengths.items():
         dot = np.einsum("sc,sc->s", spins[:, i - 1, :], spins[:, j - 1, :])
@@ -130,10 +144,13 @@ def estimate_moment(
     rational covariance, sized before the first shard too, and refuses a
     coupling.  The weighted estimate is self-normalized, with the
     influence-function standard error
-    std(w (p - mean) / avg(w)) / sqrt(samples).
+    std(w (p - mean) / avg(w)) / sqrt(samples).  ResourceLimitError above
+    MAX_SAMPLES, before the first shard.
     """
     if samples < 1000:
         raise InputError(f"need at least 1000 samples, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ResourceLimitError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
     if p.mode == GAUSSIAN:
         if covariance is None:
             raise InputError("gaussian-mode estimates need a covariance matrix")
@@ -141,6 +158,8 @@ def estimate_moment(
             raise InputError("interaction weights apply to sphere mode only")
         if len(covariance) != p.dims.sites:
             raise InputError(f"covariance is {len(covariance)}x{len(covariance)} but N={p.dims.sites}")
+        import numpy as np
+
         chol = np.array(ratlin.cholesky_float(covariance))
     elif covariance is not None:
         raise InputError("covariance applies to gaussian mode only")

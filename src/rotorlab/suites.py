@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import numpy as np
-
 from . import ratlin
 from .algebra import (
     GAUSSIAN,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rotorlab.algebra import (
+    CONST_MONO,
     GAUSSIAN,
     SPHERE,
     Coupling,
@@ -14,7 +15,6 @@ from rotorlab.algebra import (
     ModelDims,
     constant,
     load_polynomial,
-    mono_degree,
     one,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -45,6 +45,36 @@ def random_poly(dims, mode, rng, terms=4, budget=3, signed=True):
         coeff = Fraction(rng.randrange(lo, 7), rng.randrange(1, 5))
         out.append((tuple(powers.items()), coeff))
     return DotPolynomial(dims, mode, out)
+
+
+# Polynomial queries only the tests ask; the package itself never needs them.
+
+def mono_degree(m):
+    """Total degree: the number of dot-product factors counted with multiplicity."""
+    return sum(p for _, p in m)
+
+
+def total_degree(p):
+    return max((mono_degree(m) for m in p.terms), default=0)
+
+
+def constant_term(p):
+    return p.terms.get(CONST_MONO, Fraction(0))
+
+
+def is_constant(p):
+    return all(m == CONST_MONO for m in p.terms)
+
+
+def relabel(p, permutation):
+    """Apply a site permutation; ``permutation[i-1]`` is the image of site i."""
+    if sorted(permutation) != list(range(1, p.dims.sites + 1)):
+        raise InputError(f"not a permutation of 1..{p.dims.sites}: {list(permutation)!r}")
+    moved = (
+        (tuple(((permutation[i - 1], permutation[j - 1]), e) for (i, j), e in mono), coeff)
+        for mono, coeff in p.terms.items()
+    )
+    return DotPolynomial(p.dims, p.mode, moved)
 
 
 def test_dims_validation():
@@ -117,19 +147,19 @@ def test_power_operator():
 
 def test_relabel_examples():
     u12 = variable(D33, 1, 2)
-    assert u12.relabel([3, 2, 1]) == variable(D33, 2, 3)
+    assert relabel(u12, [3, 2, 1]) == variable(D33, 2, 3)
     p = variable(D33, 1, 2) * variable(D33, 1, 3)
-    assert p.relabel([1, 3, 2]) == p
-    assert p.relabel([1, 2, 3]) == p
+    assert relabel(p, [1, 3, 2]) == p
+    assert relabel(p, [1, 2, 3]) == p
     with pytest.raises(InputError):
-        p.relabel([1, 1, 2])
+        relabel(p, [1, 1, 2])
 
 
 def test_relabel_preserves_cone():
     rng = random.Random(5)
     for _ in range(10):
         p = random_poly(D33, SPHERE, rng, signed=False)
-        assert p.relabel([2, 3, 1]).is_cone()
+        assert relabel(p, [2, 3, 1]).is_cone()
 
 
 @pytest.mark.parametrize("mode", [SPHERE, GAUSSIAN])
@@ -208,7 +238,7 @@ def test_missing_file():
 
 def test_total_degree_and_sum():
     p = variable(D33, 1, 2, 2) * variable(D33, 2, 3) + constant(D33, 5)
-    assert p.total_degree() == 3
+    assert total_degree(p) == 3
     assert p.coefficient_sum() == 6
     assert mono_degree(max(p.terms, key=mono_degree)) == 3
 

@@ -8,9 +8,13 @@ and the CLI's lean import.
 ``bench/workloads.py`` passes couplings as raw ``{pair: Fraction}`` dicts.
 These tests fail if a rename or a refactor leaves the traced counters
 reading zero or stops accepting those inputs.
-``import rotorlab.cli`` loads no scipy module (scipy is imported where a
-quadrature rule or a matrix exponential first needs it) but does load
-``rotorlab.chernoff``, whose import time ``bench/run.py --trace 1`` reads.
+``import rotorlab.cli`` loads no numpy or scipy module (each is imported
+where a float array, a quadrature rule or a matrix exponential first needs
+it) but does load ``rotorlab.chernoff``, whose import time
+``bench/run.py --trace 1`` reads.  The exact commands (``moment``,
+``griffiths``, ``dirichlet``, ``gaussian moment|griffiths``) never load numpy,
+and the numeric ones print, from a fresh interpreter that turns warnings into
+errors, what they print in process.
 """
 
 import importlib.util
@@ -25,7 +29,7 @@ import pytest
 
 import rotorlab
 from rotorlab import gaussian, griffiths, heat, mc, moments
-from rotorlab.algebra import GAUSSIAN, Coupling, ModelDims, variable
+from rotorlab.algebra import GAUSSIAN, Coupling, ModelDims, save_polynomial, variable
 from rotorlab.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -100,11 +104,51 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # bench/run.py times rotorlab.chernoff inside `import rotorlab.cli`, so it must stay there
     code = ("import sys, rotorlab.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')), "
             "'rotorlab.chernoff' in sys.modules)")
     done = _fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[] True"
+
+
+def _fill(tmp_path: Path, argv: list[str]) -> list[str]:
+    """argv with {u} a sphere u12^2 file, {x} a gaussian v12 file and {F} a 2x2 coupling."""
+    u, x, fmat = tmp_path / "u.json", tmp_path / "x.json", tmp_path / "F.json"
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, 2), str(u))
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), str(x))
+    fmat.write_text('{"N": 2, "entries": [["2", "-1"], ["-1", "2"]]}')
+    return [a.replace("{u}", str(u)).replace("{x}", str(x)).replace("{F}", str(fmat))
+            for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--input", "{u}"],
+    ["griffiths", "--f", "{u}", "--g", "{u}"],
+    ["dirichlet", "--f", "{u}", "--h", "{u}"],
+    ["gaussian", "moment", "--input", "{x}", "--F", "{F}"],
+    ["gaussian", "griffiths", "--f", "{x}", "--g", "{x}", "--F", "{F}"],
+])
+def test_exact_commands_never_load_numpy(tmp_path, argv):
+    code = ("import sys; from rotorlab.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
+    done = _fresh_python("-c", code, *_fill(tmp_path, argv))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--input", "{u}", "--samples", "2000"],
+    ["evolve", "--input", "{u}", "--t", "0.5"],
+    ["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0:0.5:1"],
+    ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "0.5", "--m", "2"],
+    ["chernoff", "--n", "2", "--l", "2", "--t", "0.5", "--m", "2"],
+])
+def test_numeric_commands_load_numpy_on_first_use(capsys, tmp_path, argv):
+    argv = _fill(tmp_path, argv)
+    done = _fresh_python("-W", "error", "-m", "rotorlab.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

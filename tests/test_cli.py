@@ -439,6 +439,19 @@ def test_chernoff_rejects_oversized_node_start(capsys, n):
     assert captured.out == "" and "node count must be <=" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chernoff", "--n", "3", "--l", "1000000000", "--t", "0.5", "--m", "2"],
+     "harmonic degree 1000000000 is above the cap"),
+    (["mc", "--input", "{u}", "--samples", "100000000000"],
+     "100000000000 samples are above the cap"),
+])
+def test_unbounded_loops_exit_3_before_starting(capsys, u12sq_n2, argv, message):
+    assert main([a.replace("{u}", u12sq_n2) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_chernoff_validates_before_printing(capsys):
     assert main(["chernoff", "--n", "3", "--l", "2", "--t", "0.5", "--m", "0"]) == 2
     assert capsys.readouterr().out == ""
