@@ -4,75 +4,68 @@ Exact rational expectations of dot-product polynomials over products of
 spheres, inequality checks, the spherical heat semigroup on the pair
 algebra, Gaussian-kernel Chernoff products, ferromagnetic Gaussian spins
 with Trotter splitting, and a Monte Carlo cross-validation oracle.
+
+Importing the package imports none of its modules: each public name and
+submodule loads on first access (PEP 562), so a CLI command compiles and
+runs only the engines it calls.
 """
 
-from . import chernoff, moments, zonal
-from .algebra import (
-    GAUSSIAN,
-    SPHERE,
-    Coupling,
-    DotPolynomial,
-    FloatPolynomial,
-    ModelDims,
-    constant,
-    load_polynomial,
-    one,
-    save_polynomial,
-    variable,
-    zero,
-)
-from .chernoff import (
-    KernelSpec,
-    chernoff_iterate,
-    chernoff_table,
-    funk_hecke_eigenvalue,
-    generator_envelope,
-    generator_limit,
-    normalization_constant,
-)
-from .errors import (
-    InputError,
-    NumericError,
-    QuadratureError,
-    ResourceLimitError,
-    ViolationError,
-)
-from .gaussian import (
-    FerroMatrix,
-    check_gaussian_griffiths,
-    covariance,
-    ferro_from_rows,
-    gaussian_laplacian,
-    gaussian_moment,
-    matrix_semigroup,
-    ou_generator,
-    trotter_compare,
-)
-from .griffiths import GriffithsReport, check_first, check_second, random_cone_poly
-from .heat import (
-    build_invariant_basis,
-    correlation_flow,
-    dirichlet,
-    grad_dot,
-    heat_evolve,
-    laplacian,
-)
-from .mc import MCEstimate, estimate_moment
-from .moments import (
-    eliminate_site,
-    interacting_moment,
-    radial_moment,
-    sphere_moment,
-    sphere_moment_oracle,
-)
-from .wick import vector_moment
-from .zonal import gegenbauer, gegenbauer_coefficients, laplace_eigenvalue
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+_EXPORTS = {
+    "algebra": "GAUSSIAN SPHERE Coupling DotPolynomial FloatPolynomial ModelDims constant "
+               "load_polynomial one save_polynomial variable zero",
+    "chernoff": "KernelSpec chernoff_iterate chernoff_table funk_hecke_eigenvalue "
+                "generator_envelope generator_limit normalization_constant",
+    "errors": "InputError NumericError QuadratureError ResourceLimitError ViolationError",
+    "gaussian": "FerroMatrix check_gaussian_griffiths covariance ferro_from_rows "
+                "gaussian_laplacian gaussian_moment matrix_semigroup ou_generator trotter_compare",
+    "griffiths": "GriffithsReport check_first check_second random_cone_poly",
+    "heat": "build_invariant_basis correlation_flow dirichlet grad_dot heat_evolve laplacian",
+    "mc": "MCEstimate estimate_moment",
+    "moments": "eliminate_site interacting_moment radial_moment sphere_moment "
+               "sphere_moment_oracle",
+    "numerics": "",
+    "ratlin": "",
+    "wick": "vector_moment",
+    "zonal": "gegenbauer gegenbauer_coefficients laplace_eigenvalue",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in (module, *names.split())}
+
+__all__ = [*_MODULE_OF, "clear_caches"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 def clear_caches() -> None:
-    """Empty every memo the package keeps, so the next computation runs cold."""
-    moments.clear_caches()  # also the Isserlis chain memos
-    chernoff._node_cache.clear()
-    zonal.gegenbauer_coefficients.cache_clear()
+    """Empty every memo of the modules loaded so far, so the next computation runs cold.
+
+    Imports nothing: a module not yet loaded holds no memo.
+    """
+    def loaded(module: str):
+        return sys.modules.get(f"{__name__}.{module}")
+
+    for module in (loaded("moments"), loaded("wick")):
+        if module:
+            module.clear_caches()
+    if chernoff := loaded("chernoff"):
+        chernoff._node_cache.clear()
+    if zonal := loaded("zonal"):
+        zonal.gegenbauer_coefficients.cache_clear()

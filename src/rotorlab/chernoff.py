@@ -104,26 +104,36 @@ def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _refine(spec: KernelSpec, evaluate) -> float:
     """Double the node count until two successive estimates agree.
 
-    Estimates are evaluated with numpy's divide and invalid warnings off: a
-    non-finite one means the kernel exp((s - 1)/2t) underflowed on the rule
-    (Gauss-Jacobi nodes never reach s = 1), which stops the refinement at once.
+    ``evaluate(s, w, kernel)`` reads the rule and the kernel w exp((s - 1)/2t)
+    on it, with numpy's divide and invalid warnings off: a non-finite estimate
+    means the kernel underflowed on the rule (Gauss-Jacobi nodes never reach
+    s = 1), which stops the refinement at once.  The trapezoid rule (n = 2)
+    has a node at s = 1; a rule whose kernel mass off that node is negligible
+    only estimates the value there, so agreement with it is not accepted.  The
+    first rule is at most half the cap, so at least two rules are compared.
     """
     import numpy as np
 
     cap = _node_cap(spec.n)
-    m = max(16, spec.nodes)
+    m = min(spec.nodes, cap // 2)
+    half_rate = 0.5 / spec.t
     estimates: tuple[float, ...] = ()
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            current = evaluate(*_nodes(spec.n, m))
+            s, w = _nodes(spec.n, m)
+            kernel = w * np.exp((s - 1.0) * half_rate)
+            current = evaluate(s, w, kernel)
             if not math.isfinite(current):
                 raise QuadratureError(
                     f"kernel underflow at t={spec.t!r} (n={spec.n}): estimate not finite",
                     m, estimates[-1:] + (current,),
                 )
-            if estimates and abs(current - estimates[-1]) <= REL_TOL * max(1.0, abs(current)):
+            if (estimates and resolved
+                    and abs(current - estimates[-1]) <= REL_TOL * max(1.0, abs(current))):
                 return current
             estimates = estimates[-1:] + (current,)
+            total = kernel.sum()
+            resolved = spec.n > 2 or total - kernel[0] > REL_TOL * total
             if m * 2 > cap:
                 break
             m *= 2
@@ -142,12 +152,8 @@ def funk_hecke_eigenvalue(spec: KernelSpec, l: int) -> float:
         raise InputError(f"harmonic degree must be >= 0, got {l}")
     if l > MAX_DEGREE:
         raise ResourceLimitError(f"harmonic degree {l} is above the cap of {MAX_DEGREE}")
-    import numpy as np
 
-    half_rate = 0.5 / spec.t
-
-    def estimate(s: np.ndarray, w: np.ndarray) -> float:
-        kernel = w * np.exp((s - 1.0) * half_rate)
+    def estimate(s: np.ndarray, w: np.ndarray, kernel: np.ndarray) -> float:
         return float((kernel * gegenbauer(spec.n, l, s)).sum() / kernel.sum())
 
     return _refine(spec, estimate)
@@ -213,12 +219,9 @@ def normalization_constant(spec: KernelSpec) -> NormalizationPoint:
             f"the leading term A_{spec.n - 1} (4 pi t)^(-{spec.n - 1}/2) leaves the float "
             f"range at t={spec.t!r} (n={spec.n})"
         )
-    import numpy as np
 
-    half_rate = 0.5 / spec.t
-
-    def estimate(s: np.ndarray, w: np.ndarray) -> float:
-        return float(w.sum() / (w * np.exp((s - 1.0) * half_rate)).sum())
+    def estimate(s: np.ndarray, w: np.ndarray, kernel: np.ndarray) -> float:
+        return float(w.sum() / kernel.sum())
 
     c = _refine(spec, estimate)
     return NormalizationPoint(spec.t, c, c / leading - 1.0)

@@ -8,13 +8,15 @@ and the CLI's lean import.
 ``bench/workloads.py`` passes couplings as raw ``{pair: Fraction}`` dicts.
 These tests fail if a rename or a refactor leaves the traced counters
 reading zero or stops accepting those inputs.
-``import rotorlab.cli`` loads no numpy or scipy module (each is imported
-where a float array, a quadrature rule or a matrix exponential first needs
-it) but does load ``rotorlab.chernoff``, whose import time
-``bench/run.py --trace 1`` reads.  The exact commands (``moment``,
-``griffiths``, ``dirichlet``, ``gaussian moment|griffiths``) never load numpy,
-and the numeric ones print, from a fresh interpreter that turns warnings into
-errors, what they print in process.
+``import rotorlab.cli`` loads only the package, ``cli``, ``errors``,
+``chernoff`` and ``zonal`` (each command imports its engine when it runs) and
+no numpy or scipy module (each is imported where a float array, a quadrature
+rule or a matrix exponential first needs it).  It must load
+``rotorlab.chernoff``: ``bench/run.py --trace 1`` reads that module's
+``-X importtime`` row.  The exact commands (``moment``, ``griffiths``,
+``dirichlet``, ``gaussian moment|griffiths``) never load numpy, and every
+command prints from a fresh interpreter what it prints in process (the
+numeric ones with warnings turned into errors).
 """
 
 import importlib.util
@@ -111,14 +113,36 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert done.stdout.strip() == "[] True"
 
 
+def test_cli_import_loads_only_the_cli_errors_and_chernoff():
+    code = ("import sys, rotorlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('rotorlab', 'numpy', 'scipy')))")
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    loaded = ["rotorlab", "rotorlab.chernoff", "rotorlab.cli", "rotorlab.errors", "rotorlab.zonal"]
+    assert done.stdout.strip() == str(loaded)
+
+
+def test_importtime_of_the_cli_import_has_a_chernoff_row():
+    # parsed as bench/run.py's chernoff_import_s parses it; no row would fail the traced run
+    done = _fresh_python("-X", "importtime", "-c", "import rotorlab.cli")
+    assert done.returncode == 0, done.stderr
+    rows = [[f.strip() for f in line.split("|")] for line in done.stderr.splitlines()]
+    cumulative = [int(r[1]) for r in rows if len(r) == 3 and r[2] == "rotorlab.chernoff"]
+    assert len(cumulative) == 1 and cumulative[0] > 0
+
+
 def _fill(tmp_path: Path, argv: list[str]) -> list[str]:
-    """argv with {u} a sphere u12^2 file, {x} a gaussian v12 file and {F} a 2x2 coupling."""
-    u, x, fmat = tmp_path / "u.json", tmp_path / "x.json", tmp_path / "F.json"
-    save_polynomial(variable(ModelDims(2, 2), 1, 2, 2), str(u))
-    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), str(x))
-    fmat.write_text('{"N": 2, "entries": [["2", "-1"], ["-1", "2"]]}')
-    return [a.replace("{u}", str(u)).replace("{x}", str(x)).replace("{F}", str(fmat))
-            for a in argv]
+    """argv with {u} a sphere u12^2 file, {x} a gaussian v12 file, {F} a 2x2 coupling
+    matrix and {J} a sphere coupling."""
+    files = {name: tmp_path / f"{name}.json" for name in "uxFJ"}
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, 2), str(files["u"]))
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), str(files["x"]))
+    files["F"].write_text('{"N": 2, "entries": [["2", "-1"], ["-1", "2"]]}')
+    files["J"].write_text('{"terms": [{"i": 1, "j": 2, "coeff": "1/10"}]}')
+    for name, path in files.items():
+        argv = [a.replace(f"{{{name}}}", str(path)) for a in argv]
+    return argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -127,13 +151,18 @@ def _fill(tmp_path: Path, argv: list[str]) -> list[str]:
     ["dirichlet", "--f", "{u}", "--h", "{u}"],
     ["gaussian", "moment", "--input", "{x}", "--F", "{F}"],
     ["gaussian", "griffiths", "--f", "{x}", "--g", "{x}", "--F", "{F}"],
+    ["moment", "--input", "{u}", "--J", "{J}"],
 ])
-def test_exact_commands_never_load_numpy(tmp_path, argv):
+def test_exact_commands_never_load_numpy(capsys, tmp_path, argv):
+    argv = _fill(tmp_path, argv)
     code = ("import sys; from rotorlab.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
-    done = _fresh_python("-c", code, *_fill(tmp_path, argv))
+    done = _fresh_python("-c", code, *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False False"
+    *printed, verdict = done.stdout.splitlines(keepends=True)
+    assert verdict == "0 False False\n"
+    assert main(argv) == 0
+    assert "".join(printed) == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,6 +171,9 @@ def test_exact_commands_never_load_numpy(tmp_path, argv):
     ["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0:0.5:1"],
     ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "0.5", "--m", "2"],
     ["chernoff", "--n", "2", "--l", "2", "--t", "0.5", "--m", "2"],
+    ["mc", "--input", "{x}", "--F", "{F}", "--samples", "2000"],
+    ["mc", "--input", "{u}", "--J", "{J}", "--samples", "2000"],
+    ["evolve", "--input", "{u}", "--t", "0.5", "--cap", "50"],
 ])
 def test_numeric_commands_load_numpy_on_first_use(capsys, tmp_path, argv):
     argv = _fill(tmp_path, argv)

@@ -1,5 +1,10 @@
 """Package memos: clear_caches reaches every one, and the lru memos are bounded."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import rotorlab
 from rotorlab import chernoff, moments, wick, zonal
 from rotorlab.algebra import GAUSSIAN, ModelDims, variable
@@ -31,6 +36,26 @@ def test_clear_caches_empties_every_memo():
     assert all(memo_sizes().values()), memo_sizes()
     rotorlab.clear_caches()
     assert not any(memo_sizes().values()), memo_sizes()
+
+
+def test_clear_caches_loads_no_engine():
+    # a fresh interpreter: clear_caches empties the memos of the modules loaded so far only
+    code = ("import sys, rotorlab\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('rotorlab'))\n"
+            "rotorlab.clear_caches()\n"
+            "print(loaded())\n"
+            "from rotorlab import chernoff\n"
+            "chernoff._nodes(2, 16)\n"
+            "rotorlab.clear_caches()\n"
+            "print(loaded(), len(chernoff._node_cache))")
+    src = str(Path(rotorlab.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "['rotorlab']",
+        "['rotorlab', 'rotorlab.chernoff', 'rotorlab.errors', 'rotorlab.zonal'] 0",
+    ]
 
 
 def test_wick_memo_keeps_a_fixed_number_of_covariances():

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from scipy.special import ive
 
 import rotorlab
 from rotorlab import heat
@@ -465,6 +466,24 @@ def test_kernel_rejects_infinite_time(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite t" in captured.err
+
+
+@pytest.mark.parametrize("argv, max_error", [
+    # a kernel narrower than the first trapezoid spacing: every early estimate is G_l(1) = 1
+    (["chernoff", "--n", "2", "--l", "3", "--t", "1e-6", "--m", "1"], 1e-10),
+    (["chernoff", "--n", "2", "--l", "256", "--t", "1e-6", "--m", "1"], 1e-7),
+    # a start above half the node cap: the first rule cannot double
+    (["chernoff", "--n", "2", "--l", "3", "--t", "0.5", "--m", "1", "--nodes", "2097152"], 1e-2),
+])
+def test_chernoff_reaches_the_circle_eigenvalue(capsys, argv, max_error):
+    """The n = 2 kernel eigenvalue is I_l(1/2t)/I_0(1/2t); ``error`` (against the heat
+    semigroup) is then the Chernoff defect of one power, 6.0e-8 for l = 256 at t = 1e-6."""
+    assert main(argv) == 0
+    rotorlab.clear_caches()  # the 2^21-node rule
+    _, approx, reference, error = capsys.readouterr().out.splitlines()[1].split(",")
+    l, t = int(argv[4]), float(argv[6])
+    assert float(approx) == pytest.approx(ive(l, 0.5 / t) / ive(0, 0.5 / t), rel=0, abs=1e-10)
+    assert float(error) <= max_error
 
 
 @pytest.mark.parametrize("argv", [
