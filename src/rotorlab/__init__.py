@@ -38,6 +38,14 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
 
 __all__ = [*_MODULE_OF, "clear_caches"]
 
+# every memo in the package: lru_cache functions and module-level dicts
+_MEMOS = {
+    "moments": "radial_moment _partner_pairing_sum _mono_moment _incidence _compaction",
+    "wick": "_memos",
+    "chernoff": "_node_cache",
+    "zonal": "gegenbauer_coefficients",
+}
+
 
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
@@ -59,13 +67,8 @@ def clear_caches() -> None:
 
     Imports nothing: a module not yet loaded holds no memo.
     """
-    def loaded(module: str):
-        return sys.modules.get(f"{__name__}.{module}")
-
-    for module in (loaded("moments"), loaded("wick")):
-        if module:
-            module.clear_caches()
-    if chernoff := loaded("chernoff"):
-        chernoff._node_cache.clear()
-    if zonal := loaded("zonal"):
-        zonal.gegenbauer_coefficients.cache_clear()
+    for module, names in _MEMOS.items():
+        if loaded := sys.modules.get(f"{__name__}.{module}"):
+            for name in names.split():
+                memo = getattr(loaded, name)
+                (memo.cache_clear if hasattr(memo, "cache_clear") else memo.clear)()

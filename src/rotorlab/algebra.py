@@ -361,10 +361,6 @@ class FloatPolynomial:
         return self.terms.get(mono, 0.0)
 
 
-def to_float_poly(p: DotPolynomial) -> FloatPolynomial:
-    return FloatPolynomial(p.dims, p.mode, {m: float(c) for m, c in p.terms.items()})
-
-
 @dataclass(frozen=True)
 class Coupling:
     """Ferromagnetic strengths J_ij >= 0 of the sphere weight exp(sum J_ij u_ij).

@@ -18,9 +18,10 @@ degree by 2 (so its exponential is a finite series) and the drift
 preserves degree, which keeps every monomial inside a finite A-invariant
 subspace.  That subspace is built by the same engine as the sphere heat
 semigroup (:func:`heat.close_basis`, exact sparse columns, one float
-exponential).  The Trotter comparison uses it only for the reference
-exp(tA) p; its split steps substitute exp(-tF/m) into, and heat-smooth,
-float polynomials directly (:func:`_substitute`, :func:`heat_apply`).
+exponential).  The Trotter comparison runs on it too: split by total
+degree, the generator's matrix is Delta (the entries that lower it) plus
+-drift (the entries that keep it), so the subspace is closed under each
+factor and a Trotter step is two matrix-vector products.
 
 A :class:`FerroMatrix` is validated once, when it is built; the
 covariance F^{-1} comes from the same exact LDL^T factorization.
@@ -35,17 +36,14 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import ratlin
 from .algebra import (
-    CONST_MONO,
     GAUSSIAN,
     DotPolynomial,
     FloatPolynomial,
     ModelDims,
     Mono,
-    Pair,
     _is_int,
     mono_div,
     mono_mul,
-    to_float_poly,
 )
 from .errors import InputError, ResourceLimitError, ViolationError
 from .griffiths import GriffithsReport, second_report
@@ -68,8 +66,8 @@ if TYPE_CHECKING:
 
 MAX_TROTTER_STEPS = 1 << 12
 """Bound on the Trotter steps of one :func:`trotter_compare` call, summed over
-its powers; each step substitutes into and heat-smooths the whole state.
-Acceptance criterion 11 takes 508 steps."""
+its powers; each step is two matrix-vector products on the OU invariant
+subspace.  Acceptance criterion 11 takes 508 steps."""
 
 
 @dataclass(frozen=True)
@@ -236,64 +234,10 @@ def ou_generator(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
 
 # -- semigroup factors --------------------------------------------------------
 
-def heat_apply(p: FloatPolynomial | DotPolynomial, s: float) -> FloatPolynomial:
-    """exp(s Delta) as a finite series: Delta lowers total degree by 2."""
-    fp = to_float_poly(p) if isinstance(p, DotPolynomial) else p
-    check_time(s, "the heat factor")
-    dims = fp.dims
-    result = dict(fp.terms)
-    current = dict(fp.terms)
-    k = 0
-    while current:
-        k += 1
-        image: dict[Mono, float] = {}
-        for mono, coeff in current.items():
-            for out_mono, weight in _flat_laplacian_mono(mono, dims).items():
-                image[out_mono] = image.get(out_mono, 0.0) + coeff * float(weight)
-        current = {m: c * s / k for m, c in image.items() if c}
-        for mono, coeff in current.items():
-            result[mono] = result.get(mono, 0.0) + coeff
-    return FloatPolynomial(dims, GAUSSIAN, {m: c for m, c in result.items() if c != 0.0})
-
-
-def _substitute(fp: FloatPolynomial, s_matrix: np.ndarray) -> FloatPolynomial:
-    size = s_matrix.shape[0]
-    lifted_cache: dict[Pair, dict[Pair, float]] = {}
-
-    def lifted(pair: Pair) -> dict[Pair, float]:
-        found = lifted_cache.get(pair)
-        if found is not None:
-            return found
-        k, l = pair
-        out: dict[Pair, float] = {}
-        for a in range(1, size + 1):
-            ska = float(s_matrix[k - 1][a - 1])
-            if ska == 0.0:
-                continue
-            for b in range(1, size + 1):
-                slb = float(s_matrix[l - 1][b - 1])
-                if slb == 0.0:
-                    continue
-                key = _pair(a, b)
-                out[key] = out.get(key, 0.0) + ska * slb
-        lifted_cache[pair] = out
-        return out
-
-    total: dict[Mono, float] = {}
-    for mono, coeff in fp.terms.items():
-        expanded: dict[Mono, float] = {CONST_MONO: coeff}
-        for pair, power in mono:
-            image = lifted(pair)
-            for _ in range(power):
-                nxt: dict[Mono, float] = {}
-                for part, c in expanded.items():
-                    for new_pair, w in image.items():
-                        key = mono_mul(part, ((new_pair, 1),))
-                        nxt[key] = nxt.get(key, 0.0) + c * w
-                expanded = nxt
-        for m, c in expanded.items():
-            total[m] = total.get(m, 0.0) + c
-    return FloatPolynomial(fp.dims, GAUSSIAN, {m: c for m, c in total.items() if c != 0.0})
+def heat_apply(p: DotPolynomial, s: float) -> FloatPolynomial:
+    """exp(s Delta) p on the Laplacian-closed basis of p's terms (finite: Delta
+    lowers total degree by 2)."""
+    return close_basis(p.terms.keys(), p.dims, GAUSSIAN, _flat_laplacian_mono).evolve(p, s)
 
 
 # -- Trotter comparison -------------------------------------------------------
@@ -344,21 +288,27 @@ def trotter_compare(
         )
     semi = ou_invariant_basis(p, f, cap)
     reference = semi.evolve(p, t)
+    import numpy as np
+
+    generator = semi.as_float()
+    degree = np.array([sum(power for _, power in mono) for mono in semi.basis])
+    # Delta lowers total degree by exactly 2 and the drift keeps it
+    laplacian = np.where(degree[:, None] < degree[None, :], generator, 0.0)
+    neg_drift = generator - laplacian
+    start, target = semi.vector(p), semi.vector(reference)
     track_cone = p.is_cone()
     points = []
     for m in ms:
         step = t / m
-        step_matrix = matrix_semigroup(f, step)
-        state = to_float_poly(p)
+        drift_step, heat_step = expm(neg_drift, step), expm(laplacian, step)
+        state = start
         worst = 0.0
         for _ in range(m):
-            state = _substitute(state, step_matrix)
-            worst = min(worst, state.min_coefficient())
-            state = heat_apply(state, step)
-            worst = min(worst, state.min_coefficient())
-        keys = set(state.terms) | set(reference.terms)
-        err = max(abs(state.coefficient(k) - reference.coefficient(k)) for k in keys)
-        points.append(TrotterPoint(m, float(err), float(worst)))
+            state = drift_step @ state
+            worst = min(worst, state.min())
+            state = heat_step @ state
+            worst = min(worst, state.min())
+        points.append(TrotterPoint(m, float(np.abs(state - target).max()), float(worst)))
     cone_ok = (not track_cone) or all(pt.min_intermediate_coeff >= -1e-12 for pt in points)
     return TrotterReport(tuple(points), reference, cone_ok)
 

@@ -381,9 +381,3 @@ def _tail_gap(strength_sum: Fraction, order: int, p_sum: Fraction, value: Fracti
             "exceeds the float range"
         )
     return gap
-
-
-def clear_caches() -> None:
-    for memo in (radial_moment, _partner_pairing_sum, _mono_moment, _incidence, _compaction):
-        memo.cache_clear()
-    wick.clear_caches()

@@ -111,7 +111,3 @@ def vector_moment(
     # every term of the sum is a product of exactly one covariance entry per factor
     total = _chain_sum(tuple(sorted(factors)), None, scaled, n, memo)
     return Fraction(total, denom ** len(factors))
-
-
-def clear_caches() -> None:
-    _memos.clear()

@@ -2,9 +2,9 @@
 and the CLI's lean import.
 
 ``bench/tracing.py`` wraps ``numerics.expm``, ``heat.build_invariant_basis``,
-``gaussian.ou_invariant_basis``, ``gaussian.covariance`` and
-``griffiths.check_second`` wherever rotorlab binds them and reads
-``.basis`` off the bases they return.
+``gaussian.ou_invariant_basis``, ``gaussian.trotter_compare``,
+``gaussian.covariance`` and ``griffiths.check_second`` wherever rotorlab
+binds them and reads ``.basis`` off the bases they return.
 ``bench/workloads.py`` passes couplings as raw ``{pair: Fraction}`` dicts.
 These tests fail if a rename or a refactor leaves the traced counters
 reading zero or stops accepting those inputs.
@@ -58,6 +58,23 @@ def test_tracer_sees_the_engine():
     assert metrics["numerics.expm_calls"] >= 2
     assert metrics["heat.basis_size_max"] > 0
     assert metrics["gaussian.ou_basis_size"] > 0
+
+
+def test_tracer_sees_the_trotter_steps():
+    # one expm for the reference exp(tA), then one per factor and Trotter power
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    ms = [2, 8]
+    try:
+        v12 = variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN)
+        gaussian.trotter_compare(v12, gaussian.ferro_from_rows([[2, -1], [-1, 2]]), 1.0, ms)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["gaussian.trotter_s"] > 0
+    assert metrics["gaussian.ou_basis_size"] > 0
+    assert metrics["numerics.expm_calls"] == 1 + 2 * len(ms)
 
 
 def test_tracer_sees_the_random_sweep():
@@ -174,6 +191,9 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path, argv):
     ["mc", "--input", "{x}", "--F", "{F}", "--samples", "2000"],
     ["mc", "--input", "{u}", "--J", "{J}", "--samples", "2000"],
     ["evolve", "--input", "{u}", "--t", "0.5", "--cap", "50"],
+    ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e-300", "--m", "1"],
+    ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e20", "--m", "1"],
+    ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "5", "--m", "4096"],
 ])
 def test_numeric_commands_load_numpy_on_first_use(capsys, tmp_path, argv):
     argv = _fill(tmp_path, argv)

@@ -1,6 +1,8 @@
 """Package memos: clear_caches reaches every one, and the lru memos are bounded."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,17 +15,31 @@ from rotorlab.gaussian import covariance, gaussian_moment, random_ferro
 from rotorlab.moments import sphere_moment
 
 
+def _memos():
+    """(module.name, memo) for every entry of the package's memo registry."""
+    for module, names in rotorlab._MEMOS.items():
+        loaded = importlib.import_module(f"rotorlab.{module}")
+        for name in names.split():
+            yield f"{module}.{name}", getattr(loaded, name)
+
+
 def memo_sizes():
-    return {
-        "wick": len(wick._memos),
-        "radial": moments.radial_moment.cache_info().currsize,
-        "pairing": moments._partner_pairing_sum.cache_info().currsize,
-        "mono": moments._mono_moment.cache_info().currsize,
-        "nodes": len(chernoff._node_cache),
-        "gegenbauer": zonal.gegenbauer_coefficients.cache_info().currsize,
-        "incidence": moments._incidence.cache_info().currsize,
-        "compaction": moments._compaction.cache_info().currsize,
-    }
+    return {name: memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
+            for name, memo in _memos()}
+
+
+def test_registry_lists_every_memo():
+    # an lru_cache function or a module-level dict anywhere in the package is a memo
+    found = {}
+    for info in pkgutil.iter_modules(rotorlab.__path__):
+        module = importlib.import_module(f"rotorlab.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__") and (hasattr(value, "cache_info") or isinstance(value, dict)):
+                found.setdefault(id(value), f"{info.name}.{name}")
+    registered = {id(memo): name for name, memo in _memos()}
+    assert len(registered) == 8
+    assert [name for key, name in found.items() if key not in registered] == []
+    assert found.keys() == registered.keys()
 
 
 def test_clear_caches_empties_every_memo():

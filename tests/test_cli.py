@@ -517,6 +517,9 @@ def test_dense_generator_budget_exits_3(capsys, monkeypatch, u12sq_n2, argv):
     (["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e308", "--m", "2"],
      "not finite at t=1e+308"),
     (["normalization", "--n", "400", "--t-grid", "0.5"], "area of S^399 overflows"),
+    # the reference exp(tA) overflows before any Trotter step
+    (["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e100", "--m", "1"],
+     "not finite at t=1e+100"),
 ])
 def test_float_overflow_exits_3_without_warnings(capsys, tmp_path, u12sq_n2, ferro_file,
                                                  argv, message):

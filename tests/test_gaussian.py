@@ -10,12 +10,14 @@ import pytest
 
 from rotorlab import gaussian, ratlin
 from rotorlab.algebra import (
+    CONST_MONO,
     GAUSSIAN,
     DotPolynomial,
+    FloatPolynomial,
     ModelDims,
     constant,
+    mono_mul,
     one,
-    to_float_poly,
     variable,
 )
 from rotorlab.errors import InputError, ResourceLimitError
@@ -36,6 +38,7 @@ from rotorlab.gaussian import (
     trotter_compare,
 )
 from rotorlab.griffiths import random_cone_poly
+from rotorlab.heat import _flat_laplacian_mono, _pair
 from rotorlab.moments import radial_moment
 from rotorlab.numerics import fitted_order
 from rotorlab.wick import vector_moment
@@ -390,6 +393,78 @@ def test_semigroup_approximant_converges():
     assert errors[-1] < 1e-3
 
 
+def to_float_poly(p):
+    return FloatPolynomial(p.dims, p.mode, {m: float(c) for m, c in p.terms.items()})
+
+
+def substitute(fp, s_matrix):
+    """Substitute x_k -> sum_a S_ka x_a into a float polynomial, lifted to pair
+    variables term by term: an engine-free oracle for the drift factor."""
+    size = s_matrix.shape[0]
+    lifted = {}
+    for k in range(1, size + 1):
+        for l in range(k, size + 1):
+            image = lifted[(k, l)] = {}
+            for a in range(1, size + 1):
+                for b in range(1, size + 1):
+                    weight = float(s_matrix[k - 1][a - 1]) * float(s_matrix[l - 1][b - 1])
+                    if weight != 0.0:
+                        key = _pair(a, b)
+                        image[key] = image.get(key, 0.0) + weight
+    total = {}
+    for mono, coeff in fp.terms.items():
+        expanded = {CONST_MONO: coeff}
+        for pair, power in mono:
+            for _ in range(power):
+                nxt = {}
+                for part, c in expanded.items():
+                    for new_pair, w in lifted[pair].items():
+                        key = mono_mul(part, ((new_pair, 1),))
+                        nxt[key] = nxt.get(key, 0.0) + c * w
+                expanded = nxt
+        for m, c in expanded.items():
+            total[m] = total.get(m, 0.0) + c
+    return FloatPolynomial(fp.dims, GAUSSIAN, {m: c for m, c in total.items() if c != 0.0})
+
+
+def heat_series(fp, s):
+    """exp(s Delta) as the finite series sum_k (s Delta)^k / k! on a float polynomial:
+    an engine-free oracle for the heat factor (Delta lowers total degree by 2)."""
+    result = dict(fp.terms)
+    current = dict(fp.terms)
+    k = 0
+    while current:
+        k += 1
+        image = {}
+        for mono, coeff in current.items():
+            for out_mono, weight in _flat_laplacian_mono(mono, fp.dims).items():
+                image[out_mono] = image.get(out_mono, 0.0) + coeff * float(weight)
+        current = {m: c * s / k for m, c in image.items() if c}
+        for mono, coeff in current.items():
+            result[mono] = result.get(mono, 0.0) + coeff
+    return FloatPolynomial(fp.dims, GAUSSIAN, {m: c for m, c in result.items() if c != 0.0})
+
+
+def trotter_oracle(p, f, t, ms):
+    """(m, max_error, min_intermediate_coeff) per m from split steps on float
+    polynomials, against trotter_compare's reference exp(tA) p."""
+    reference = ou_invariant_basis(p, f).evolve(p, t)
+    rows = []
+    for m in ms:
+        step_matrix = matrix_semigroup(f, t / m)
+        state = to_float_poly(p)
+        worst = 0.0
+        for _ in range(m):
+            state = substitute(state, step_matrix)
+            worst = min(worst, state.min_coefficient())
+            state = heat_series(state, t / m)
+            worst = min(worst, state.min_coefficient())
+        keys = set(state.terms) | set(reference.terms)
+        err = max(abs(state.coefficient(k) - reference.coefficient(k)) for k in keys)
+        rows.append((m, err, worst))
+    return rows
+
+
 def flow_map(p, f, t):
     """Substitute x_k -> sum_a exp(-tF)_{ka} x_a, lifted to pair variables.
 
@@ -397,7 +472,7 @@ def flow_map(p, f, t):
     so the lifted map preserves the cone coefficientwise.
     """
     fp = to_float_poly(p) if isinstance(p, DotPolynomial) else p
-    return gaussian._substitute(fp, matrix_semigroup(f, t))
+    return substitute(fp, matrix_semigroup(f, t))
 
 
 def test_flow_map_examples():
@@ -555,6 +630,64 @@ def test_equilibrium_convergence():
     for mono, coeff in out.terms.items():
         if mono != ():
             assert abs(coeff) < 1e-9
+
+
+def _small_ou_cases(seed, count, max_basis):
+    """Seeded (p, f, basis) with n = 1-3 on 2-3 sites, half of them off the cone."""
+    rng = random.Random(seed)
+    while count:
+        n, sites = rng.choice([1, 2, 3]), rng.choice([2, 3])
+        dims = ModelDims(n, sites)
+        p = random_cone_poly(dims, 2, 2, rng.randrange(2**31), mode=GAUSSIAN)
+        if rng.random() < 0.5:
+            p = p - 2 * random_cone_poly(dims, 1, 2, rng.randrange(2**31), mode=GAUSSIAN)
+        f = random_ferro(sites, rng.randrange(2**31))
+        semi = ou_invariant_basis(p, f)
+        if len(semi.basis) <= max_basis:
+            count -= 1
+            yield p, f, semi
+
+
+def test_trotter_matches_the_float_split_oracle():
+    ms = [1, 2, 8, 32]
+    rng = random.Random(141)
+    off_cone = 0
+    for p, f, _ in _small_ou_cases(14, 12, 30):
+        t = rng.choice([0.25, 1.0, 2.0])
+        report = trotter_compare(p, f, t, ms)
+        rows = trotter_oracle(p, f, t, ms)
+        for point, (m, err, worst) in zip(report.points, rows):
+            assert point.m == m
+            assert point.max_error == pytest.approx(err, rel=1e-10, abs=1e-14), (p, m)
+            assert abs(point.min_intermediate_coeff - worst) <= 1e-12, (p, m)
+        cone_ok = not p.is_cone() or all(worst >= -1e-12 for _, _, worst in rows)
+        assert report.cone_preserved == cone_ok
+        off_cone += any(worst < 0 for _, _, worst in rows)
+    assert off_cone  # some cases reach negative coefficients
+
+
+def test_heat_apply_matches_the_float_series():
+    for p, _, _ in _small_ou_cases(15, 20, 84):
+        for s in (0.0, 0.3, 2.0):
+            engine, series = heat_apply(p, s), heat_series(to_float_poly(p), s)
+            for mono in set(engine.terms) | set(series.terms):
+                assert engine.coefficient(mono) == pytest.approx(
+                    series.coefficient(mono), rel=1e-12, abs=1e-12), (p, s, mono)
+
+
+def test_ou_columns_split_exactly_by_degree():
+    # trotter_compare splits the OU matrix by total degree into Delta and -drift
+    def degree(mono):
+        return sum(power for _, power in mono)
+
+    for p, f, semi in _small_ou_cases(16, 200, math.inf):
+        for mono, column in zip(semi.basis, semi.columns):
+            d = degree(mono)
+            assert all(degree(out) <= d for out in column)
+            lower = {out: w for out, w in column.items() if degree(out) < d}
+            level = {out: w for out, w in column.items() if degree(out) == d}
+            assert lower == _flat_laplacian_mono(mono, p.dims)
+            assert level == {out: -w for out, w in gaussian._drift_mono(mono, f).items()}
 
 
 def test_ferro_serialization():
