@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import InputError
 
@@ -38,6 +38,7 @@ MODES = (SPHERE, GAUSSIAN)
 Pair = tuple[int, int]
 Mono = tuple[tuple[Pair, int], ...]
 Coeff = Union[Fraction, int, str]
+Weight = Fraction | int  # integer operators keep plain ints
 
 CONST_MONO: Mono = ()
 
@@ -137,22 +138,22 @@ def mono_div(m: Mono, pair: Pair, k: int = 1) -> Mono:
     return tuple(sorted(table.items()))
 
 
-def site_degrees(m: Mono, dims: ModelDims) -> tuple[int, ...]:
-    """Per-site degree d_i; a diagonal pair (i, i) contributes 2 per exponent."""
-    degs = [0] * dims.sites
+def site_degrees(m: Mono) -> dict[int, int]:
+    """Degree d_i of each site the monomial touches; a diagonal pair (i, i) adds 2 per exponent."""
+    degs: dict[int, int] = {}
     for (i, j), p in m:
-        degs[i - 1] += p
-        degs[j - 1] += p  # i == j lands here twice, as it must
-    return tuple(degs)
+        degs[i] = degs.get(i, 0) + p
+        degs[j] = degs.get(j, 0) + p  # i == j lands here twice, as it must
+    return degs
 
 
-def mono_sites(m: Mono) -> tuple[int, ...]:
-    """Sorted site labels that appear in the monomial."""
-    seen: set[int] = set()
-    for (i, j), _ in m:
-        seen.add(i)
-        seen.add(j)
-    return tuple(sorted(seen))
+def _add(table: dict, mono: Mono, coeff) -> None:
+    """Accumulate coeff on mono in a sparse term table, dropping zeros."""
+    merged = table.get(mono, 0) + coeff
+    if merged:
+        table[mono] = merged
+    elif mono in table:
+        del table[mono]
 
 
 class DotPolynomial:
@@ -178,12 +179,7 @@ class DotPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         table: dict[Mono, Fraction] = {}
         for raw_mono, raw_coeff in items:
-            mono = make_mono(dims, mode, raw_mono)
-            coeff = table.get(mono, Fraction(0)) + frac(raw_coeff)
-            if coeff:
-                table[mono] = coeff
-            elif mono in table:
-                del table[mono]
+            _add(table, make_mono(dims, mode, raw_mono), frac(raw_coeff))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "terms", table)
@@ -217,11 +213,7 @@ class DotPolynomial:
         self._require_compatible(other)
         table = dict(self.terms)
         for mono, coeff in other.terms.items():
-            merged = table.get(mono, Fraction(0)) + coeff
-            if merged:
-                table[mono] = merged
-            elif mono in table:
-                del table[mono]
+            _add(table, mono, coeff)
         return DotPolynomial._raw(self.dims, self.mode, table)
 
     __radd__ = __add__
@@ -255,12 +247,7 @@ class DotPolynomial:
         table: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                merged = table.get(mono, Fraction(0)) + c1 * c2
-                if merged:
-                    table[mono] = merged
-                elif mono in table:
-                    del table[mono]
+                _add(table, mono_mul(m1, m2), c1 * c2)
         return DotPolynomial._raw(self.dims, self.mode, table)
 
     __rmul__ = __mul__
@@ -319,6 +306,18 @@ class DotPolynomial:
             )
             bits.append(f"{coeff}" + (f"*{factors}" if factors else ""))
         return " + ".join(bits)
+
+
+Generator = Callable[[Mono, ModelDims], dict[Mono, Weight]]
+
+
+def apply_generator(p: DotPolynomial, generator: Generator) -> DotPolynomial:
+    """Extend a monomial map generator(mono, dims) -> {mono: Weight} linearly to p."""
+    table: dict[Mono, Fraction] = {}
+    for mono, coeff in p.terms.items():
+        for out_mono, weight in generator(mono, p.dims).items():
+            _add(table, out_mono, coeff * weight)
+    return DotPolynomial._raw(p.dims, p.mode, table)
 
 
 def zero(dims: ModelDims, mode: str = SPHERE) -> DotPolynomial:

@@ -33,7 +33,12 @@ def format_float(value: float) -> str:
 
 
 def render_exact(value: Fraction) -> str:
-    return f"{value} ({format_float(float(value))})"
+    """The exact rational, then its float value; ``inf`` or ``-inf`` beyond the float range."""
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = math.inf if value > 0 else -math.inf
+    return f"{value} ({format_float(approx)})"
 
 
 def parse_grid(text: str) -> list[float]:
@@ -238,25 +243,23 @@ def cmd_mc(args) -> int:
     elif p.mode == GAUSSIAN:
         raise InputError("gaussian-mode input needs --F for the coupling matrix")
     estimate = estimate_moment(p, args.samples, args.seed, coupling=coupling, covariance=cov)
+    extra = {}
+    if coupling is not None:
+        exact = interacting_moment(p, coupling, order=args.order)
+        value, extra = exact.value, {"tail_gap": exact.tail_gap}
+    elif p.mode == GAUSSIAN:
+        value = gaussian_moment(p, cov)
+    else:
+        value = sphere_moment(p)
     payload = {
         "mean": estimate.mean,
         "stderr": estimate.stderr,
         "samples": estimate.samples,
         "seed": estimate.seed,
+        "exact": float(value),
+        "exact_rational": str(value),
+        **extra,
     }
-    if coupling is not None:
-        exact = interacting_moment(p, coupling, order=args.order)
-        payload["exact"] = float(exact.value)
-        payload["exact_rational"] = str(exact.value)
-        payload["tail_gap"] = exact.tail_gap
-    elif p.mode == GAUSSIAN:
-        value = gaussian_moment(p, cov)
-        payload["exact"] = float(value)
-        payload["exact_rational"] = str(value)
-    else:
-        value = sphere_moment(p)
-        payload["exact"] = float(value)
-        payload["exact_rational"] = str(value)
     payload["sigmas"] = estimate.sigmas_from(payload["exact"])
     print(json.dumps(payload, indent=2))
     return 0
@@ -378,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except ViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ResourceLimitError) as exc:
+    except (NumericError, ResourceLimitError, OverflowError) as exc:
         print(f"numeric/resource error: {exc}", file=sys.stderr)
         return 3
 

@@ -41,7 +41,10 @@ from .algebra import (
     FloatPolynomial,
     ModelDims,
     Mono,
+    Weight,
+    _add,
     _is_int,
+    apply_generator,
     mono_div,
     mono_mul,
 )
@@ -50,16 +53,13 @@ from .griffiths import GriffithsReport, second_report
 from .heat import (
     DEFAULT_BASIS_CAP,
     InvariantSubspace,
-    Weight,
-    _add,
     _flat_laplacian_mono,
     _pair,
-    apply_generator,
     check_time,
     close_basis,
 )
 from .numerics import expm
-from .wick import vector_moment
+from .wick import require_factors, vector_moment
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,6 +153,7 @@ def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:
         raise InputError(f"covariance is {len(cov)}x{len(cov)} but N={p.dims.sites}")
     total = Fraction(0)
     for mono, coeff in p.terms.items():
+        require_factors(sum(power for _, power in mono))  # before the factor list is built
         factors = []
         for (i, j), power in mono:
             factors.extend([(i - 1, j - 1)] * power)
@@ -305,10 +306,11 @@ def trotter_compare(
         worst = 0.0
         for _ in range(m):
             state = drift_step @ state
-            worst = min(worst, state.min())
+            worst = min(worst, state.min(initial=0.0))
             state = heat_step @ state
-            worst = min(worst, state.min())
-        points.append(TrotterPoint(m, float(np.abs(state - target).max()), float(worst)))
+            worst = min(worst, state.min(initial=0.0))
+        error = np.abs(state - target).max(initial=0.0)
+        points.append(TrotterPoint(m, float(error), float(worst)))
     cone_ok = (not track_cone) or all(pt.min_intermediate_coeff >= -1e-12 for pt in points)
     return TrotterReport(tuple(points), reference, cone_ok)
 

@@ -3,16 +3,21 @@
 The second-order contraction rules are the flat ones for R^n-valued spins,
 with v_ab = x_a . x_b: Delta v_aa = 2n, Delta v_ab = 0 (a != b) and
 grad_i v_ab = [i=a] x_b + [i=b] x_a, extended by the Leibniz rule.  The
-Gaussian OU generator uses them as they stand; the sphere operators restrict
-them to |x_i| = 1.  A monomial m of degree d_i in site i is homogeneous, so
-(Dai & Xu, Approximation Theory and Harmonic Analysis on Spheres and Balls,
-ch. 1)
+Gaussian OU generator uses them as they stand; the sphere Laplacian
+restricts them to |x_i| = 1.  A monomial m of degree d_i in site i is
+homogeneous, so (Dai & Xu, Approximation Theory and Harmonic Analysis on
+Spheres and Balls, ch. 1), summing over the sites that m touches,
 
-    lap m           = (Delta m)|_{v_ii=1} - sum_i d_i (d_i + n - 2) m
-    grad f . grad h = (flat grad f . grad h)|_{v_ii=1} - sum_i d_i^f d_i^h f h.
+    lap m = (Delta m)|_{v_ii=1} - sum_i d_i (d_i + n - 2) m.
 
-Neither raises a per-site degree and both preserve per-site parity, so every
-monomial generates a finite Laplacian-invariant subspace; the heat
+The gradient pairing follows from the Laplacian alone, by the carre du
+champ identity (Bakry, Gentil & Ledoux, Analysis and Geometry of Markov
+Diffusion Operators, 2014, sec. 1.4)
+
+    grad f . grad h = (lap(f h) - f lap h - h lap f) / 2.
+
+The Laplacian neither raises a per-site degree nor changes its parity, so
+every monomial generates a finite Laplacian-invariant subspace; the heat
 semigroup is the matrix exponential on that subspace.
 
 This module also holds the one invariant-subspace engine that the sphere
@@ -29,15 +34,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import (
     SPHERE,
     DotPolynomial,
     FloatPolynomial,
+    Generator,
     ModelDims,
     Mono,
     Pair,
+    Weight,
+    _add,
+    apply_generator,
     mono_div,
     mono_mul,
     site_degrees,
@@ -53,28 +62,8 @@ DEFAULT_BASIS_CAP = 5000
 
 DENSE_BYTES_BUDGET = 1 << 28
 """Bytes (256 MiB) that a dense float generator and its matrix-exponential
-workspace may take: about 1,800 basis monomials."""
-
-Weight = Fraction | int  # integer operators keep plain ints
-Generator = Callable[[Mono, ModelDims], dict[Mono, Weight]]
-
-
-def _add(table: dict, mono: Mono, coeff) -> None:
-    """Accumulate coeff on mono in a sparse term table, dropping zeros."""
-    merged = table.get(mono, 0) + coeff
-    if merged:
-        table[mono] = merged
-    elif mono in table:
-        del table[mono]
-
-
-def apply_generator(p: DotPolynomial, generator: Generator) -> DotPolynomial:
-    """Extend a monomial map generator(mono, dims) -> {mono: Weight} linearly to p."""
-    table: dict[Mono, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for out_mono, weight in generator(mono, p.dims).items():
-            _add(table, out_mono, coeff * weight)
-    return DotPolynomial._raw(p.dims, p.mode, table)
+workspace may take (about 1,800 basis monomials), and so may the spin arrays
+of one Monte Carlo shard."""
 
 
 def _pair(i: int, j: int) -> Pair:
@@ -135,7 +124,7 @@ def _laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, int]:
     out: dict[Mono, int] = {}
     for flat_mono, weight in _flat_laplacian_mono(mono, dims).items():
         _add(out, _on_sphere(flat_mono), weight)
-    _add(out, mono, -sum(d * (d + dims.n - 2) for d in site_degrees(mono, dims)))
+    _add(out, mono, -sum(d * (d + dims.n - 2) for d in site_degrees(mono).values()))
     return out
 
 
@@ -147,27 +136,8 @@ def laplacian(p: DotPolynomial) -> DotPolynomial:
 
 
 def grad_dot(f: DotPolynomial, h: DotPolynomial) -> DotPolynomial:
-    """Exact grad f . grad h summed over all sites."""
-    if f.mode != SPHERE or h.mode != SPHERE:
-        raise InputError("grad_dot acts on sphere-mode polynomials")
-    if f.dims != h.dims:
-        raise InputError(f"dims mismatch: {f.dims} vs {h.dims}")
-    table: dict[Mono, Fraction] = {}
-    for m1, c1 in f.terms.items():
-        deg1 = site_degrees(m1, f.dims)
-        for m2, c2 in h.terms.items():
-            coeff = c1 * c2
-            radial = sum(a * b for a, b in zip(deg1, site_degrees(m2, f.dims)))
-            _add(table, mono_mul(m1, m2), -coeff * radial)
-            for p, e1 in m1:
-                for q, e2 in m2:
-                    contract = _grad_contract(p, q)
-                    if contract:
-                        base = mono_mul(mono_div(m1, p), mono_div(m2, q))
-                        for bridge, w in contract.items():
-                            bridged = _on_sphere(mono_mul(base, ((bridge, 1),)))
-                            _add(table, bridged, coeff * e1 * e2 * w)
-    return DotPolynomial._raw(f.dims, f.mode, table)
+    """Exact grad f . grad h summed over all sites, from the carre du champ identity."""
+    return (laplacian(f * h) - f * laplacian(h) - h * laplacian(f)) * Fraction(1, 2)
 
 
 def dirichlet(f: DotPolynomial, h: DotPolynomial) -> Fraction:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import ratlin
 from .algebra import GAUSSIAN, Coupling, DotPolynomial, Pair
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, NumericError, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,12 +145,16 @@ def estimate_moment(
     coupling.  The weighted estimate is self-normalized, with the
     influence-function standard error
     std(w (p - mean) / avg(w)) / sqrt(samples).  ResourceLimitError above
-    MAX_SAMPLES, before the first shard.
+    MAX_SAMPLES, or when a shard's spin arrays would take more than
+    ``heat.DENSE_BYTES_BUDGET``, before the first shard; NumericError when a
+    shard's sample sums leave the float range.
     """
     if samples < 1000:
         raise InputError(f"need at least 1000 samples, got {samples}")
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
+    import numpy as np
+
     if p.mode == GAUSSIAN:
         if covariance is None:
             raise InputError("gaussian-mode estimates need a covariance matrix")
@@ -158,13 +162,21 @@ def estimate_moment(
             raise InputError("interaction weights apply to sphere mode only")
         if len(covariance) != p.dims.sites:
             raise InputError(f"covariance is {len(covariance)}x{len(covariance)} but N={p.dims.sites}")
-        import numpy as np
-
         chol = np.array(ratlin.cholesky_float(covariance))
     elif covariance is not None:
         raise InputError("covariance applies to gaussian mode only")
     if coupling is not None:
         coupling = Coupling.of(p.dims, coupling)
+    from .heat import DENSE_BYTES_BUDGET
+
+    # the first shard is the largest: its draws and one transform of them, in float64
+    largest = min(SHARD_SIZE, samples)
+    need = 2 * 8 * largest * p.dims.sites * p.dims.n
+    if need > DENSE_BYTES_BUDGET:
+        raise ResourceLimitError(
+            f"a shard of {largest} samples of {p.dims.sites} spins in R^{p.dims.n} needs about "
+            f"{need >> 20} MiB, above the budget of {DENSE_BYTES_BUDGET >> 20} MiB"
+        )
 
     shard_stats: list[tuple[float, ...]] = []
     done = 0
@@ -176,21 +188,23 @@ def estimate_moment(
             spins = _gaussian_batch(p.dims, chol, rng, count)
         else:
             spins = _sphere_batch(p.dims, rng, count)
-        values = _evaluate_poly(p, spins)
-        if coupling is None:
-            shard_stats.append((float(values.sum()), float((values * values).sum())))
-        else:
-            weights = _weight_values(coupling, spins)
-            wp = weights * values
-            shard_stats.append(
-                (
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+            values = _evaluate_poly(p, spins)
+            if coupling is None:
+                stats: tuple[float, ...] = (float(values.sum()), float((values * values).sum()))
+            else:
+                weights = _weight_values(coupling, spins)
+                wp = weights * values
+                stats = (
                     float(weights.sum()),
                     float(wp.sum()),
                     float((weights * weights).sum()),
                     float((weights * wp).sum()),
                     float((wp * wp).sum()),
                 )
-            )
+        if not all(map(math.isfinite, stats)):
+            raise NumericError(f"the sample sums of shard {shard} leave the float range")
+        shard_stats.append(stats)
         done += count
         shard += 1
 

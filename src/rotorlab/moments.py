@@ -47,8 +47,8 @@ from .algebra import (
     ModelDims,
     Mono,
     Pair,
+    _add,
     mono_mul,
-    mono_sites,
     site_degrees,
 )
 from .errors import InputError, NumericError
@@ -92,7 +92,7 @@ def _vector(mono: Mono) -> tuple[tuple[int, ...], Vec]:
     The vector grows as the square of the site count, so a monomial on more
     sites than any elimination can nest through is refused before it is built.
     """
-    sites = mono_sites(mono)
+    sites = tuple(sorted(site_degrees(mono)))
     wick.require_depth(len(sites), f"eliminating {len(sites)} sites")
     index = {s: k for k, s in enumerate(sites)}
     vec = [0] * _slot(0, len(sites))
@@ -220,11 +220,7 @@ def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
             ]
         scaled = coeff / radial_moment(p.dims.n, degree)
         for new_mono, mult in terms:
-            merged = table.get(new_mono, Fraction(0)) + scaled * mult
-            if merged:
-                table[new_mono] = merged
-            elif new_mono in table:
-                del table[new_mono]
+            _add(table, new_mono, scaled * mult)
     return DotPolynomial._raw(p.dims, p.mode, table)
 
 
@@ -288,21 +284,20 @@ def sphere_moment_oracle(mono: Mono, dims: ModelDims) -> Fraction:
     product of the per-site radial moments.  Independent of the elimination
     path by construction.
     """
-    degs = site_degrees(mono, dims)
-    if any(d % 2 for d in degs):
+    degs = site_degrees(mono)
+    if any(d % 2 for d in degs.values()):
         return Fraction(0)
     if not mono:
         return Fraction(1)
-    index = {s: k for k, s in enumerate(mono_sites(mono))}
+    index = {s: k for k, s in enumerate(sorted(degs))}
     identity = [[Fraction(i == j) for j in range(len(index))] for i in range(len(index))]
     factors = []
     for (i, j), p in mono:
         factors.extend([(index[i], index[j])] * p)
     gauss = wick.vector_moment(factors, identity, dims.n)
     norm = 1
-    for d in degs:
-        if d:
-            norm *= radial_moment(dims.n, d)
+    for d in degs.values():
+        norm *= radial_moment(dims.n, d)
     return gauss / norm
 
 

@@ -48,6 +48,11 @@ def require_depth(frames: int, what: str) -> None:
         )
 
 
+def require_factors(count: int) -> None:
+    """Refuse an Isserlis sum over more factors than :data:`RECURSION_BUDGET` allows."""
+    require_depth(2 * count + 1, f"an Isserlis sum over {count} factors")
+
+
 def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     """Integer matrix D * cov and D, the lcm of the entries' denominators."""
     rows = [[Fraction(x) for x in row] for row in cov]
@@ -98,7 +103,7 @@ def vector_moment(
 
     ``factors`` lists 0-based site pairs with multiplicity.  Exact.
     """
-    require_depth(2 * len(factors) + 1, f"an Isserlis sum over {len(factors)} factors")
+    require_factors(len(factors))
     scaled, denom = _scale_cov(cov)
     key = (scaled, n)
     memo = _memos.get(key)

@@ -1,10 +1,14 @@
 """CLI contract: output formats, exit codes, determinism."""
 
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,19 @@ def cone_pair_n3(tmp_path):
     save_polynomial(f, str(fp))
     save_polynomial(g, str(gp))
     return str(fp), str(gp)
+
+
+@pytest.fixture()
+def huge_coeff(tmp_path):
+    """10^400 u12^2 in sphere mode (n = 3) and 10^400 x12^2 in gaussian mode (n = 1):
+    exact inputs whose values leave the float range."""
+    paths = {}
+    for name, mode, n in (("u", "sphere", 3), ("x", GAUSSIAN, 1)):
+        path = tmp_path / f"huge_{name}.json"
+        path.write_text(json.dumps({"mode": mode, "n": n, "N": 2, "terms": [
+            {"coeff": "1e400", "powers": [{"i": 1, "j": 2, "p": 2}]}]}))
+        paths[name] = str(path)
+    return paths
 
 
 @pytest.fixture()
@@ -445,9 +462,28 @@ def test_chernoff_rejects_oversized_node_start(capsys, n):
      "harmonic degree 1000000000 is above the cap"),
     (["mc", "--input", "{u}", "--samples", "100000000000"],
      "100000000000 samples are above the cap"),
+    # two (32768, 10^8, 3) float64 arrays would take 150 TiB
+    (["mc", "--input", "{wide}"], "needs about 150000000 MiB, above the budget of 256 MiB"),
+    # the factor list of x12^(10^7) alone would take 169 MB
+    (["gaussian", "moment", "--input", "{deep}", "--F", "{F}"],
+     "an Isserlis sum over 10000000 factors needs about 20000001 nested calls"),
 ])
-def test_unbounded_loops_exit_3_before_starting(capsys, u12sq_n2, argv, message):
-    assert main([a.replace("{u}", u12sq_n2) for a in argv]) == 3
+def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferro_file,
+                                                argv, message):
+    import tracemalloc
+
+    wide = tmp_path / "wide.json"
+    save_polynomial(variable(ModelDims(3, 10 ** 8), 1, 2, 2), str(wide))
+    deep = tmp_path / "deep.json"
+    save_polynomial(variable(ModelDims(1, 2), 1, 2, 10 ** 7, mode=GAUSSIAN), str(deep))
+    names = {"{u}": u12sq_n2, "{wide}": str(wide), "{deep}": str(deep), "{F}": ferro_file}
+    tracemalloc.start()
+    try:
+        assert main([names.get(a, a) for a in argv]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
@@ -520,12 +556,29 @@ def test_dense_generator_budget_exits_3(capsys, monkeypatch, u12sq_n2, argv):
     # the reference exp(tA) overflows before any Trotter step
     (["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e100", "--m", "1"],
      "not finite at t=1e+100"),
+    # a coefficient beyond the float range, where the float path converts it
+    (["evolve", "--input", "{huge_u}", "--t", "0.5"], "too large for a float"),
+    (["flow", "--f", "{huge_u}", "--g", "{huge_u}", "--t-grid", "0,1"], "too large for a float"),
+    (["mc", "--input", "{huge_u}", "--samples", "2000"], "too large for a float"),
+    (["mc", "--input", "{huge_x}", "--F", "{F}", "--samples", "2000"], "too large for a float"),
+    (["gaussian", "trotter", "--input", "{huge_x}", "--F", "{F}", "--t", "1.0", "--m", "2"],
+     "too large for a float"),
+    # the samples fit, their squares do not; exp(1000 u12) leaves the float range
+    (["mc", "--input", "{u300}", "--samples", "2000"], "sample sums of shard 0 leave the float"),
+    (["mc", "--input", "{u}", "--J", "{J1000}", "--samples", "2000"],
+     "sample sums of shard 0 leave the float"),
 ])
 def test_float_overflow_exits_3_without_warnings(capsys, tmp_path, u12sq_n2, ferro_file,
-                                                 argv, message):
+                                                 huge_coeff, argv, message):
     x12 = tmp_path / "x12.json"
     save_polynomial(variable(ModelDims(1, 2), 1, 2, mode=GAUSSIAN), str(x12))
+    u300 = tmp_path / "u300.json"
+    save_polynomial(10 ** 300 * variable(ModelDims(2, 2), 1, 2), str(u300))
+    j1000 = tmp_path / "J1000.json"
+    j1000.write_text(json.dumps({"terms": [{"i": 1, "j": 2, "coeff": "1000"}]}))
     argv = [a.replace("{u}", u12sq_n2).replace("{x}", str(x12)).replace("{F}", ferro_file)
+            .replace("{huge_u}", huge_coeff["u"]).replace("{huge_x}", huge_coeff["x"])
+            .replace("{u300}", str(u300)).replace("{J1000}", str(j1000))
             for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -533,6 +586,23 @@ def test_float_overflow_exits_3_without_warnings(capsys, tmp_path, u12sq_n2, fer
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and "RuntimeWarning" not in captured.err
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (["moment", "--input", "{u}"], Fraction(10 ** 400, 3)),  # E[u12^2] = 1/3
+    (["dirichlet", "--f", "{u}", "--h", "{u}"], Fraction(16 * 10 ** 800, 15)),  # 8(1/3 - 1/5)
+    (["griffiths", "--f", "{u}", "--g", "{u}"], Fraction(10 ** 400, 3)),  # E[f]
+    (["gaussian", "moment", "--input", "{x}", "--F", "{F}"], Fraction(2 * 10 ** 400, 3)),
+])
+def test_exact_values_beyond_the_float_range_print_inf(capsys, huge_coeff, ferro_file,
+                                                       argv, exact):
+    argv = [a.replace("{u}", huge_coeff["u"]).replace("{x}", huge_coeff["x"])
+            .replace("{F}", ferro_file) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert f"{exact} (inf)" in captured.out and captured.err == ""
 
 
 def test_normalization_validates_before_printing(capsys):
@@ -583,3 +653,144 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# -- seeded fuzz over the JSON-reading commands -------------------------------
+
+FUZZ_EXTREMES = [True, False, None, [], [[]], {}, "1e400", 1e400, math.nan, 0, -1, 10 ** 9, "x"]
+FUZZ_CALLS = 150
+FUZZ_SECONDS = 10  # per call
+
+
+def _slots(node):
+    """Every (container, key) inside a JSON value, outermost first."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from _slots(value)
+
+
+def _flaw(rng, data):
+    """A well-formed JSON input, or three times in ten one slot of it made extreme or dropped."""
+    if rng.random() < 0.3:
+        container, key = rng.choice(list(_slots(data)))
+        if isinstance(container, dict) and rng.random() < 0.1:
+            del container[key]
+        else:
+            container[key] = rng.choice(FUZZ_EXTREMES)
+    return data
+
+
+def _fuzz_poly(rng, mode, n, sites):
+    labels = list(range(1, sites + 1)) if sites in (1, 2, 6) else [1, 2]
+    pairs = [(i, j) for i in labels for j in labels if i < j or (i == j and mode != "sphere")]
+    terms = []
+    for _ in range(rng.randrange(4)):
+        powers = [{"i": i, "j": j, "p": rng.choice([1, 2])}
+                  for i, j in (rng.choice(pairs) for _ in range(rng.randrange(3) if pairs else 0))]
+        terms.append({"coeff": rng.choice(["1", "1/2", "-1", "3/7", "1e400", 2]), "powers": powers})
+    return _flaw(rng, {"mode": mode, "n": n, "N": sites, "terms": terms})
+
+
+def _fuzz_matrix(rng, sites):
+    size = sites if sites in (1, 2, 6) and rng.random() < 0.8 else rng.choice([1, 2, 6])
+    rows = [[str(size) if i == j else "-1/2" for j in range(size)] for i in range(size)]
+    return _flaw(rng, {"N": size, "entries": rows})
+
+
+def _fuzz_coupling(rng):
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    terms = [{"i": i, "j": j, "coeff": rng.choice(["1/10", "0", "1e400"])}
+             for i, j in rng.sample(pairs, rng.randrange(3))]
+    return _flaw(rng, {"terms": terms})
+
+
+def _fuzz_argv(rng, tmp_path):
+    command = rng.choice(["moment", "griffiths", "dirichlet", "evolve", "flow", "mc",
+                          "gaussian moment", "gaussian griffiths", "gaussian trotter"])
+    gaussian = command.startswith("gaussian") or (command == "mc" and rng.random() < 0.5)
+    mode = "gaussian" if gaussian else "sphere"
+
+    def write(name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    n = rng.choice([2, 3, 10 ** 9] if mode == "sphere" else [1, 2, 3, 10 ** 9])
+    sites = rng.choice([0, 1, 2, 2, 2, 6, 6, -1, True])
+    f_path = write("f", _fuzz_poly(rng, mode, n, sites))
+    g_path = write("g", _fuzz_poly(rng, mode, n, sites))
+    t = rng.choice(["0", "0.5", "0.5", "1", "-1", "nan", "inf", "1e308", "1e-300"])
+    argv = command.split()
+    if command in ("moment", "evolve", "mc", "gaussian moment", "gaussian trotter"):
+        argv += ["--input", f_path]
+    elif command == "dirichlet":
+        argv += ["--f", f_path, "--h", g_path]
+    else:
+        argv += ["--f", f_path, "--g", g_path]
+    if command == "griffiths":
+        argv += ["--format", rng.choice(["text", "json"]), "--counterexample-dir", str(tmp_path)]
+    if command in ("evolve", "gaussian trotter"):
+        argv += ["--t", t]
+    if command == "evolve" and rng.random() < 0.5:
+        argv += ["--check-cone"]
+    if command == "flow":
+        argv += ["--t-grid", rng.choice(["0,1", "0:0.5:1", "nan", ",", "0:1:inf", "1,0", t])]
+    if command in ("evolve", "flow", "gaussian trotter") and rng.random() < 0.3:
+        argv += ["--cap", rng.choice(["0", "-1", "5000"])]
+    if command == "gaussian trotter":
+        argv += ["--m", rng.choice(["1,2", "0", "-1", ",", "4096", "4097"])]
+    if command == "mc":
+        argv += ["--samples", rng.choice(["1000", "2000", "0", "-1", "100000000000"])]
+    if gaussian:
+        argv += ["--F", write("F", _fuzz_matrix(rng, sites))]
+    elif command in ("moment", "mc") and rng.random() < 0.5:
+        argv += ["--J", write("J", _fuzz_coupling(rng))]
+    if "--J" in argv:  # a huge order has no cap yet: ROADMAP item 2
+        argv += ["--order", rng.choice(["0", "-1", "2"])]
+    return argv
+
+
+# what the verdict commands print with an honest exit 1: a Griffiths verdict, a failed
+# cone check, a non-monotone flow, a Trotter cone breach, or `main`'s `violation:` line
+VERDICT = re.compile(r"violated|\[WARNING\]|monotone = false|cone preserved: false|violation:")
+
+
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
+    import signal
+
+    class Timeout(Exception):
+        pass
+
+    def expire(signum, frame):
+        raise Timeout
+
+    rng = random.Random(15)
+    breaches = []
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for _ in range(FUZZ_CALLS):
+            argv = _fuzz_argv(rng, tmp_path)
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                code = exc.code
+            except Exception as exc:  # Timeout included
+                code = f"{type(exc).__name__}: {exc}"
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            out, err = capsys.readouterr()
+            if code == 1 and not VERDICT.search(out + err):
+                code = f"exit 1 without a verdict: {err!r}"
+            if code not in (0, 1, 2, 3) or "Traceback" in err or "RuntimeWarning" in err:
+                breaches.append((argv, code, err[-300:]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not breaches, "\n".join(map(repr, breaches))

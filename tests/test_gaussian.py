@@ -19,6 +19,7 @@ from rotorlab.algebra import (
     mono_mul,
     one,
     variable,
+    zero,
 )
 from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.gaussian import (
@@ -576,6 +577,13 @@ def test_trotter_zero_time_exact():
     v12 = variable(dims, 1, 2, mode=GAUSSIAN)
     report = trotter_compare(v12, F2, 0.0, [1, 4])
     assert all(p.max_error <= 1e-14 for p in report.points)
+
+
+def test_trotter_on_the_zero_polynomial():
+    report = trotter_compare(zero(ModelDims(2, 2), GAUSSIAN), F2, 1.0, [1, 4])
+    assert [(p.m, p.max_error, p.min_intermediate_coeff) for p in report.points] == [
+        (1, 0.0, 0.0), (4, 0.0, 0.0)]
+    assert report.cone_preserved and not report.reference.terms
 
 
 @pytest.mark.parametrize("n", [1, 2])

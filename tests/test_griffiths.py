@@ -115,7 +115,7 @@ def test_random_cone_poly_structure():
     assert p.is_cone() and p
     assert all(c > 0 for c in p.terms.values())
     for mono in p.terms:
-        assert all(d <= 4 for d in site_degrees(mono, p.dims))
+        assert all(d <= 4 for d in site_degrees(mono).values())
 
 
 def test_gap_properties_randomized():
