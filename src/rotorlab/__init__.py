@@ -20,7 +20,7 @@ _EXPORTS = {
                "load_polynomial one save_polynomial variable zero",
     "chernoff": "KernelSpec chernoff_iterate chernoff_table funk_hecke_eigenvalue "
                 "generator_envelope generator_limit normalization_constant",
-    "errors": "InputError NumericError QuadratureError ResourceLimitError ViolationError",
+    "errors": "InputError NumericError ResourceLimitError ViolationError",
     "gaussian": "FerroMatrix check_gaussian_griffiths covariance ferro_from_rows "
                 "gaussian_laplacian gaussian_moment matrix_semigroup ou_generator trotter_compare",
     "griffiths": "GriffithsReport check_first check_second random_cone_poly",
@@ -31,7 +31,7 @@ _EXPORTS = {
     "numerics": "",
     "ratlin": "",
     "wick": "vector_moment",
-    "zonal": "gegenbauer gegenbauer_coefficients laplace_eigenvalue",
+    "zonal": "gegenbauer_coefficients laplace_eigenvalue",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in (module, *names.split())}
@@ -42,7 +42,6 @@ __all__ = [*_MODULE_OF, "clear_caches"]
 _MEMOS = {
     "moments": "radial_moment _partner_pairing_sum _mono_moment _incidence _compaction",
     "wick": "_memos",
-    "chernoff": "_node_cache",
     "zonal": "gegenbauer_coefficients",
 }
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 SPHERE = "sphere"
 GAUSSIAN = "gaussian"
@@ -41,6 +41,12 @@ Coeff = Union[Fraction, int, str]
 Weight = Fraction | int  # integer operators keep plain ints
 
 CONST_MONO: Mono = ()
+
+MAX_PRODUCT_PAIRS = 1 << 16
+"""Term pairs a polynomial product may multiply, refused before the first.  The
+largest product the benchmark and the full suite build has 165 pairs, the test
+suite's 4,900; two 1,000-term inputs (10^6 pairs) took 19 s and 1.2 GB on a
+2-core host."""
 
 
 def _is_int(value: object) -> bool:
@@ -244,6 +250,12 @@ class DotPolynomial:
         if not isinstance(other, DotPolynomial):
             return NotImplemented
         self._require_compatible(other)
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ResourceLimitError(
+                f"a product of {len(self.terms)} by {len(other.terms)} terms multiplies "
+                f"{pairs} term pairs, above the budget of {MAX_PRODUCT_PAIRS}"
+            )
         table: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -2,161 +2,84 @@
 
 The operator under study convolves with exp(-|sigma - sigma'|^2 / 4t)
 against normalized surface measure, rescaled so constants are fixed.  It
-commutes with rotations, so it acts diagonally on zonal harmonics and its
-whole spectrum on polynomials reduces to one-dimensional integrals over
-s = sigma . sigma' (a Funk-Hecke reduction):
+commutes with rotations, so it acts diagonally on zonal harmonics (a
+Funk-Hecke reduction), and Poisson's integral (DLMF 10.32.2, in Watson's
+Gegenbauer form) evaluates each eigenvalue in closed form:
 
-    lambda_l(t) = I_l / I_0,
-    I_l = integral_{-1}^{1} e^{(s-1)/2t} G_l(n, s) (1 - s^2)^{(n-3)/2} ds.
+    lambda_l(t) = I_{l+nu}(kappa) / I_nu(kappa),  nu = (n - 2)/2,  kappa = 1/2t.
 
-For n = 2 the substitution s = cos(theta) turns I_l into a smooth periodic
-integral where the trapezoid rule converges spectrally; for n >= 3 the
-weight is folded into Gauss-Jacobi nodes.  Node counts double until two
-successive estimates agree to 1e-12 relative.
-
-numpy is imported when the first rule is built or evaluated, and the
-Gauss-Legendre and Gauss-Jacobi nodes come from scipy.special, imported when
-the first such rule is built, so importing the package (and starting the CLI)
-pays for neither.  The harmonic degree is capped (MAX_DEGREE) before any
-quadrature, since the Gegenbauer recurrence costs O(l) on every node.
+With B(mu, kappa) = sqrt(2 pi kappa) e^{-kappa} I_mu(kappa), which tends to 1
+as kappa grows, lambda_l = B(l + nu, kappa) / B(nu, kappa), and the kernel
+normalizer c(t) = 1 / [Gamma(nu + 1) (2/kappa)^nu e^{-kappa} I_nu(kappa)] is
+A_{n-1} (4 pi t)^{-(n-1)/2} / B(nu, kappa): the Gamma and power factors cancel.
+e^{-kappa} I_mu(kappa) is scipy.special.ive, imported on the first call, so
+importing the package (and starting the CLI) loads neither numpy nor scipy.
+ive returns nan from kappa = 2^30 on and flushes values below about 1e-308
+to 0; where B(nu, kappa) is then not a positive float, or the ratio is not
+finite, the call raises NumericError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .errors import InputError, NumericError, QuadratureError, ResourceLimitError
-from .zonal import gegenbauer, laplace_eigenvalue
-
-if TYPE_CHECKING:
-    import numpy as np
-
-REL_TOL = 1e-12
-MAX_NODES_TRAPEZOID = 1 << 21
-MAX_NODES_JACOBI = 1 << 14
+from .errors import InputError, NumericError, ResourceLimitError
+from .zonal import laplace_eigenvalue
 
 MAX_DEGREE = 256
-"""Largest harmonic degree l :func:`funk_hecke_eigenvalue` accepts.  The
-Gegenbauer recurrence costs l passes over every rule the refinement builds;
-the suite uses l <= 3."""
-
-NODE_CACHE_BUDGET = 1 << 22
-"""Nodes the quadrature rule cache may hold, 16 bytes each (64 MiB in all).
-Once a new rule pushes the total past it, the oldest rules go first; one rule
-at the n = 2 cap takes about half of it."""
-
-_node_cache: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+"""Largest harmonic degree l :func:`funk_hecke_eigenvalue` accepts: the range
+on which the tests cross-check the closed form; the suite uses l <= 3."""
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel parameters: sphere dimension n, time t, starting node count."""
+    """Kernel parameters: sphere dimension n and time t."""
 
     n: int
     t: float
-    nodes: int = 64
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise InputError(f"kernel needs integer n >= 2, got {self.n!r}")
         if not (math.isfinite(self.t) and self.t > 0):
             raise InputError(f"kernel needs a finite t > 0, got {self.t!r}")
-        if self.nodes < 16:
-            raise InputError(f"node count must be >= 16, got {self.nodes}")
-        if self.nodes > _node_cap(self.n):
-            raise InputError(
-                f"node count must be <= {_node_cap(self.n)} for n={self.n}, got {self.nodes}"
-            )
 
 
-def _node_cap(n: int) -> int:
-    """Largest rule the refinement may reach: trapezoid for n = 2, Gauss-Jacobi above."""
-    return MAX_NODES_TRAPEZOID if n == 2 else MAX_NODES_JACOBI
+def _bessel_ratio(spec: KernelSpec, l: int, numerator: bool = True) -> float:
+    """B(l + nu, kappa) / B(nu, kappa), or 1 / B(nu, kappa) without the numerator.
 
-
-def _nodes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature abscissas in s and weights incorporating the zonal density."""
-    key = ("trap" if n == 2 else "jacobi", n, m)
-    found = _node_cache.get(key)
-    if found is not None:
-        return found
-    import numpy as np
-
-    if n == 2:
-        theta = np.linspace(0.0, math.pi, m + 1)
-        weights = np.full(m + 1, math.pi / m)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        pair = (np.cos(theta), weights)
-    else:
-        from scipy.special import roots_jacobi, roots_legendre
-
-        alpha = (n - 3) / 2.0
-        pair = roots_legendre(m) if n == 3 else roots_jacobi(m, alpha, alpha)
-    _node_cache[key] = pair
-    while len(_node_cache) > 1 and sum(len(w) for _, w in _node_cache.values()) > NODE_CACHE_BUDGET:
-        del _node_cache[next(iter(_node_cache))]
-    return pair
-
-
-def _refine(spec: KernelSpec, evaluate) -> float:
-    """Double the node count until two successive estimates agree.
-
-    ``evaluate(s, w, kernel)`` reads the rule and the kernel w exp((s - 1)/2t)
-    on it, with numpy's divide and invalid warnings off: a non-finite estimate
-    means the kernel underflowed on the rule (Gauss-Jacobi nodes never reach
-    s = 1), which stops the refinement at once.  The trapezoid rule (n = 2)
-    has a node at s = 1; a rule whose kernel mass off that node is negligible
-    only estimates the value there, so agreement with it is not accepted.  The
-    first rule is at most half the cap, so at least two rules are compared.
+    NumericError where ive cannot answer: the denominator is not a positive
+    finite float (nan at huge kappa, 0 once it underflows) or the ratio is not
+    finite.
     """
-    import numpy as np
+    from scipy.special import ive
 
-    cap = _node_cap(spec.n)
-    m = min(spec.nodes, cap // 2)
-    half_rate = 0.5 / spec.t
-    estimates: tuple[float, ...] = ()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            s, w = _nodes(spec.n, m)
-            kernel = w * np.exp((s - 1.0) * half_rate)
-            current = evaluate(s, w, kernel)
-            if not math.isfinite(current):
-                raise QuadratureError(
-                    f"kernel underflow at t={spec.t!r} (n={spec.n}): estimate not finite",
-                    m, estimates[-1:] + (current,),
-                )
-            if (estimates and resolved
-                    and abs(current - estimates[-1]) <= REL_TOL * max(1.0, abs(current))):
-                return current
-            estimates = estimates[-1:] + (current,)
-            total = kernel.sum()
-            resolved = spec.n > 2 or total - kernel[0] > REL_TOL * total
-            if m * 2 > cap:
-                break
-            m *= 2
-    raise QuadratureError(
-        f"quadrature did not reach {REL_TOL} relative agreement within {cap} nodes (n={spec.n})",
-        m, estimates,
-    )
+    nu = (spec.n - 2) / 2.0
+    kappa = 0.5 / spec.t
+    scale = math.sqrt(2.0 * math.pi * kappa)
+    bottom = scale * float(ive(nu, kappa))
+    top = scale * float(ive(l + nu, kappa)) if numerator else 1.0
+    ratio = top / bottom if 0.0 < bottom < math.inf else math.nan
+    if not math.isfinite(ratio):
+        raise NumericError(
+            f"the Bessel ratio of the kernel is not a finite number at "
+            f"n={spec.n}, t={spec.t!r}, l={l}"
+        )
+    return ratio
 
 
 def funk_hecke_eigenvalue(spec: KernelSpec, l: int) -> float:
     """Action of the normalized kernel on degree-l zonal harmonics.
 
-    ResourceLimitError, before any quadrature, above MAX_DEGREE.
+    ResourceLimitError, before any Bessel function, above MAX_DEGREE.
     """
     if l < 0:
         raise InputError(f"harmonic degree must be >= 0, got {l}")
     if l > MAX_DEGREE:
         raise ResourceLimitError(f"harmonic degree {l} is above the cap of {MAX_DEGREE}")
-
-    def estimate(s: np.ndarray, w: np.ndarray, kernel: np.ndarray) -> float:
-        return float((kernel * gegenbauer(spec.n, l, s)).sum() / kernel.sum())
-
-    return _refine(spec, estimate)
+    return _bessel_ratio(spec, l)
 
 
 @dataclass(frozen=True)
@@ -176,7 +99,7 @@ def chernoff_iterate(spec: KernelSpec, l: int, m: int) -> ChernoffPoint:
     """
     if m < 1:
         raise InputError(f"Chernoff power must be >= 1, got {m}")
-    lam = funk_hecke_eigenvalue(KernelSpec(spec.n, spec.t / m, spec.nodes), l)
+    lam = funk_hecke_eigenvalue(KernelSpec(spec.n, spec.t / m), l)
     approx = lam ** m
     reference = math.exp(-laplace_eigenvalue(spec.n, l) * spec.t)
     return ChernoffPoint(m, approx, reference, abs(approx - reference))
@@ -207,7 +130,7 @@ class NormalizationPoint:
 def normalization_constant(spec: KernelSpec) -> NormalizationPoint:
     """c(t) fixing U(t)1 = 1, compared with A_{n-1} (4 pi t)^{-(n-1)/2}.
 
-    The leading term is formed before any quadrature; NumericError if it
+    The leading term is formed before any Bessel function; NumericError if it
     leaves the positive float range.
     """
     try:
@@ -219,12 +142,8 @@ def normalization_constant(spec: KernelSpec) -> NormalizationPoint:
             f"the leading term A_{spec.n - 1} (4 pi t)^(-{spec.n - 1}/2) leaves the float "
             f"range at t={spec.t!r} (n={spec.n})"
         )
-
-    def estimate(s: np.ndarray, w: np.ndarray, kernel: np.ndarray) -> float:
-        return float(w.sum() / kernel.sum())
-
-    c = _refine(spec, estimate)
-    return NormalizationPoint(spec.t, c, c / leading - 1.0)
+    ratio = _bessel_ratio(spec, 0, numerator=False)
+    return NormalizationPoint(spec.t, leading * ratio, ratio - 1.0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +173,6 @@ def generator_envelope(
     n: int,
     l: int,
     ts: Sequence[float],
-    nodes: int = 64,
 ) -> GeneratorEnvelope:
     """Check the square-root-of-t envelope of the generator limit.
 
@@ -264,7 +182,7 @@ def generator_envelope(
     grid = sorted(float(t) for t in ts)
     if not grid:
         raise InputError("generator envelope needs a non-empty t grid")
-    points = tuple(generator_limit(KernelSpec(n, t, nodes), l) for t in grid)
+    points = tuple(generator_limit(KernelSpec(n, t), l) for t in grid)
     t_fit = points[-1].t
     constant = points[-1].deviation / math.sqrt(t_fit)
     within = all(

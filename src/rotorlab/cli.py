@@ -183,7 +183,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_chernoff(args) -> int:
-    spec = KernelSpec(args.n, args.t, args.nodes)
+    spec = KernelSpec(args.n, args.t)
     points = chernoff_table(spec, args.l, parse_int_list(args.m))
     print("m,approx,reference,error")
     for point in points:
@@ -192,7 +192,7 @@ def cmd_chernoff(args) -> int:
 
 
 def cmd_normalization(args) -> int:
-    points = [normalization_constant(KernelSpec(args.n, t, args.nodes))
+    points = [normalization_constant(KernelSpec(args.n, t))
               for t in parse_grid(args.t_grid)]
     print("t,c,ratio_minus_1")
     for point in points:
@@ -324,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--m", required=True, help="comma-separated powers")
-    p.add_argument("--nodes", type=int, default=64)
     p.set_defaults(fn=cmd_chernoff)
 
     p = sub.add_parser("normalization", help="kernel normalizer against its small-t form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-grid", required=True)
-    p.add_argument("--nodes", type=int, default=64)
     p.set_defaults(fn=cmd_normalization)
 
     p = sub.add_parser("gaussian", help="ferromagnetic Gaussian spin checks")

@@ -24,20 +24,5 @@ class NumericError(RuntimeError):
     """Numerical machinery failed to reach its accuracy target."""
 
 
-class QuadratureError(NumericError):
-    """Quadrature refinement stopped without converging.
-
-    Carries ``nodes``, the node count reached, and ``estimates``, the last two
-    estimates (just one if refinement stopped at its first rule); the message
-    states both.
-    """
-
-    def __init__(self, message: str, nodes: int, estimates: tuple[float, ...]):
-        shown = ", ".join(repr(e) for e in estimates)
-        super().__init__(f"{message}; reached {nodes} nodes, last estimates {shown}")
-        self.nodes = nodes
-        self.estimates = estimates
-
-
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (basis size, node count) was exceeded."""
+    """A configured resource cap (basis size, harmonic degree) was exceeded."""

@@ -8,8 +8,8 @@ under a minute; ``full`` runs everything at the documented scale.
 Criterion 8 is split: the small-t bound on the kernel normalization holds
 for both n = 2 and n = 3, but the log-log slope portion is only meaningful
 for n = 2.  At n = 3 the zonal weight (1 - s^2)^((n-3)/2) is constant, the
-kernel integral is exact up to e^{-1/t} tails, and the deviation sits at
-quadrature noise below t = 0.1, so no first-order slope exists to measure.
+kernel integral is exact up to e^{-1/t} tails, and the deviation rounds to
+0 below t = 0.1, so no first-order slope exists to measure.
 The n = 3 slope check (8b) is still run as specified and reports its
 failure honestly rather than being loosened to pass.
 """
@@ -250,7 +250,7 @@ def crit_normalization_n3_slope(scale: str, seed: int) -> tuple[bool, str]:
     if math.isnan(slope) or not 0.8 <= slope <= 1.2:
         return False, (
             f"n=3 slope {slope:.2f} outside [0.8, 1.2] (ratio-1 = {values}): at n=3 the "
-            "deviation is exponentially small plus quadrature noise, so a first-order "
+            "deviation is exponentially small and rounds to 0, so a first-order "
             "slope is unmeasurable; see notes"
         )
     return True, f"n=3 slope {slope:.3f}"

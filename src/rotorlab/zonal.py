@@ -2,9 +2,8 @@
 
 These are the Gegenbauer (ultraspherical) polynomials rescaled so that
 G_l(n, 1) = 1; for n = 2 they reduce to Chebyshev T_l, for n = 3 to the
-Legendre polynomials.  Both a float evaluator (vectorizes over numpy
-arrays) and an exact coefficient form are provided; the three-term
-recurrence
+Legendre polynomials.  They are kept in exact coefficient form; the
+three-term recurrence
 
     G_0 = 1,  G_1 = s,
     G_{l+1} = ((2l + n - 2) s G_l - l G_{l-1}) / (l + n - 2)
@@ -18,19 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-
-
-def gegenbauer(n: int, l: int, s):
-    """Evaluate the degree-l zonal polynomial at s; accepts scalars or arrays."""
-    if n < 2 or l < 0:
-        raise InputError(f"gegenbauer needs n >= 2 and l >= 0, got n={n}, l={l}")
-    if l == 0:
-        return s * 0 + 1.0
-    prev = s * 0 + 1.0
-    cur = s * 1.0
-    for k in range(1, l):
-        prev, cur = cur, ((2 * k + n - 2) * s * cur - k * prev) / (k + n - 2)
-    return cur
 
 
 @lru_cache(maxsize=1024)

@@ -10,8 +10,8 @@ These tests fail if a rename or a refactor leaves the traced counters
 reading zero or stops accepting those inputs.
 ``import rotorlab.cli`` loads only the package, ``cli``, ``errors``,
 ``chernoff`` and ``zonal`` (each command imports its engine when it runs) and
-no numpy or scipy module (each is imported where a float array, a quadrature
-rule or a matrix exponential first needs it).  It must load
+no numpy or scipy module (each is imported where a float array, a Bessel
+function or a matrix exponential first needs it).  It must load
 ``rotorlab.chernoff``: ``bench/run.py --trace 1`` reads that module's
 ``-X importtime`` row.  The exact commands (``moment``, ``griffiths``,
 ``dirichlet``, ``gaussian moment|griffiths``) never load numpy, and every
@@ -204,9 +204,9 @@ def test_numeric_commands_load_numpy_on_first_use(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["chernoff", "--n", "3", "--l", "2", "--t", "0.5", "--m", "2"],  # Gauss-Legendre nodes
-    ["normalization", "--n", "2", "--t-grid", "0.5"],                # trapezoid nodes
-    ["normalization", "--n", "4", "--t-grid", "0.5"],                # Gauss-Jacobi nodes
+    ["chernoff", "--n", "3", "--l", "2", "--t", "0.5", "--m", "2"],  # half-integer order
+    ["normalization", "--n", "2", "--t-grid", "0.5"],                # order 0
+    ["normalization", "--n", "4", "--t-grid", "0.5"],                # order 1
 ])
 def test_quadrature_commands_load_scipy_on_first_use(capsys, argv):
     done = _fresh_python("-W", "error", "-m", "rotorlab.cli", *argv)

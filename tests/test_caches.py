@@ -8,9 +8,8 @@ import sys
 from pathlib import Path
 
 import rotorlab
-from rotorlab import chernoff, moments, wick, zonal
+from rotorlab import moments, wick, zonal
 from rotorlab.algebra import GAUSSIAN, ModelDims, variable
-from rotorlab.chernoff import KernelSpec, funk_hecke_eigenvalue
 from rotorlab.gaussian import covariance, gaussian_moment, random_ferro
 from rotorlab.moments import sphere_moment
 
@@ -37,7 +36,7 @@ def test_registry_lists_every_memo():
             if not name.startswith("__") and (hasattr(value, "cache_info") or isinstance(value, dict)):
                 found.setdefault(id(value), f"{info.name}.{name}")
     registered = {id(memo): name for name, memo in _memos()}
-    assert len(registered) == 8
+    assert len(registered) == 7
     assert [name for key, name in found.items() if key not in registered] == []
     assert found.keys() == registered.keys()
 
@@ -47,7 +46,6 @@ def test_clear_caches_empties_every_memo():
     sphere_moment(variable(dims, 1, 2, 2) * variable(dims, 2, 3, 2))
     x13 = variable(ModelDims(2, 3), 1, 3, 2, mode=GAUSSIAN)
     gaussian_moment(x13, covariance(random_ferro(3, 1)))
-    funk_hecke_eigenvalue(KernelSpec(3, 0.5), 2)
     zonal.gegenbauer_coefficients(3, 4)
     assert all(memo_sizes().values()), memo_sizes()
     rotorlab.clear_caches()
@@ -60,17 +58,17 @@ def test_clear_caches_loads_no_engine():
             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('rotorlab'))\n"
             "rotorlab.clear_caches()\n"
             "print(loaded())\n"
-            "from rotorlab import chernoff\n"
-            "chernoff._nodes(2, 16)\n"
+            "from rotorlab.chernoff import KernelSpec, funk_hecke_eigenvalue\n"
+            "funk_hecke_eigenvalue(KernelSpec(2, 0.5), 2)\n"
             "rotorlab.clear_caches()\n"
-            "print(loaded(), len(chernoff._node_cache))")
+            "print(loaded())")
     src = str(Path(rotorlab.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "['rotorlab']",
-        "['rotorlab', 'rotorlab.chernoff', 'rotorlab.errors', 'rotorlab.zonal'] 0",
+        "['rotorlab', 'rotorlab.chernoff', 'rotorlab.errors', 'rotorlab.zonal']",
     ]
 
 
@@ -90,16 +88,3 @@ def test_moment_memos_have_a_bound():
         assert memo.cache_info().maxsize is not None, memo
     assert moments._mono_moment.cache_info().maxsize >= 1 << 16
 
-
-def test_node_cache_keeps_to_its_budget(monkeypatch):
-    rotorlab.clear_caches()
-    monkeypatch.setattr(chernoff, "NODE_CACHE_BUDGET", 300)
-    for m in (16, 32, 64, 128):  # 17 + 33 + 65 + 129 trapezoid nodes fit
-        chernoff._nodes(2, m)
-    assert len(chernoff._node_cache) == 4
-    chernoff._nodes(2, 256)  # 257 more: the oldest rules go until the total fits
-    assert list(chernoff._node_cache) == [("trap", 2, 256)]
-    chernoff._nodes(3, 16)
-    assert list(chernoff._node_cache) == [("trap", 2, 256), ("jacobi", 3, 16)]
-    rotorlab.clear_caches()
-    assert not chernoff._node_cache

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import eval_chebyt, eval_legendre, ive
+from scipy.special import eval_chebyt, eval_legendre, roots_jacobi, roots_legendre
 
 from rotorlab.chernoff import (
-    MAX_NODES_JACOBI,
-    MAX_NODES_TRAPEZOID,
+    MAX_DEGREE,
     ChernoffPoint,
     KernelSpec,
     chernoff_table,
@@ -19,9 +18,58 @@ from rotorlab.chernoff import (
     normalization_constant,
     sphere_area,
 )
-from rotorlab.errors import InputError, NumericError, QuadratureError
+from rotorlab.errors import InputError, NumericError
 from rotorlab.numerics import fitted_order, loglog_slope
-from rotorlab.zonal import gegenbauer, gegenbauer_coefficients, laplace_eigenvalue
+from rotorlab.zonal import gegenbauer_coefficients, laplace_eigenvalue
+
+
+def gegenbauer(n, l, s):
+    """G_l(n, s) in floats by the three-term recurrence of rotorlab.zonal; s may be an array."""
+    if l == 0:
+        return s * 0 + 1.0
+    prev = s * 0 + 1.0
+    cur = s * 1.0
+    for k in range(1, l):
+        prev, cur = cur, ((2 * k + n - 2) * s * cur - k * prev) / (k + n - 2)
+    return cur
+
+
+def quadrature_rule(n, m):
+    """Abscissas in s and weights carrying the zonal density (1 - s^2)^{(n-3)/2}.
+
+    For n = 2 the substitution s = cos(theta) makes the integrand smooth and
+    periodic, where the trapezoid rule converges spectrally; for n >= 3 the
+    weight is folded into Gauss-Jacobi nodes (Gauss-Legendre at n = 3).
+    """
+    if n == 2:
+        theta = np.linspace(0.0, math.pi, m + 1)
+        weights = np.full(m + 1, math.pi / m)
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        return np.cos(theta), weights
+    alpha = (n - 3) / 2.0
+    return roots_legendre(m) if n == 3 else roots_jacobi(m, alpha, alpha)
+
+
+def quadrature_oracle(n, t, l):
+    """(lambda_l(t), c(t)) from the Funk-Hecke integrals, independently of Bessel functions.
+
+    I_l = int_{-1}^{1} e^{(s-1)/2t} G_l(n, s) (1 - s^2)^{(n-3)/2} ds gives
+    lambda_l = I_l / I_0 and c = (int of the density alone) / I_0.  The node
+    count doubles from 64 until two successive rules agree to 1e-12 (relative
+    above 1); there is no cap, so it is called only at moderate t.
+    """
+    m, previous = 64, None
+    while True:
+        s, w = quadrature_rule(n, m)
+        kernel = w * np.exp((s - 1.0) / (2.0 * t))
+        current = (float((kernel * gegenbauer(n, l, s)).sum() / kernel.sum()),
+                   float(w.sum() / kernel.sum()))
+        if previous and all(abs(a - b) <= 1e-12 * max(1.0, abs(a))
+                            for a, b in zip(current, previous)):
+            return current
+        previous = current
+        m *= 2
 
 
 def legendre_exact_eigenvalue(l, t):
@@ -83,13 +131,6 @@ def test_kernel_spec_validation():
     for t in (math.nan, math.inf):
         with pytest.raises(InputError):
             KernelSpec(2, t)
-    with pytest.raises(InputError):
-        KernelSpec(2, 0.5, nodes=4)
-    assert KernelSpec(2, 0.5, nodes=MAX_NODES_TRAPEZOID).nodes == MAX_NODES_TRAPEZOID
-    assert KernelSpec(3, 0.5, nodes=MAX_NODES_JACOBI).nodes == MAX_NODES_JACOBI
-    for n, cap in ((2, MAX_NODES_TRAPEZOID), (3, MAX_NODES_JACOBI), (5, MAX_NODES_JACOBI)):
-        with pytest.raises(InputError, match=f"<= {cap}"):
-            KernelSpec(n, 0.5, nodes=cap + 1)
 
 
 def test_lambda0_is_one_exactly():
@@ -100,11 +141,35 @@ def test_lambda0_is_one_exactly():
 
 @pytest.mark.parametrize("t", [1.0, 0.1, 1e-3, 1e-4])
 def test_circle_eigenvalue_matches_bessel(t):
-    x = 1.0 / (2.0 * t)
+    # the closed form I_l(1/2t)/I_0(1/2t) against the trapezoid rule in theta
     for l in (1, 2, 3):
-        oracle = float(ive(l, x) / ive(0, x))
+        oracle, _ = quadrature_oracle(2, t, l)
         got = funk_hecke_eigenvalue(KernelSpec(2, t), l)
         assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+def test_closed_form_matches_the_quadrature_oracle(n):
+    for t in (1.0, 0.25, 1e-2, 1e-3):
+        c = normalization_constant(KernelSpec(n, t)).c
+        for l in (0, 1, 2, 3, 5):
+            lam, c_oracle = quadrature_oracle(n, t, l)
+            assert funk_hecke_eigenvalue(KernelSpec(n, t), l) == pytest.approx(lam, rel=1e-8)
+            assert c == pytest.approx(c_oracle, rel=1e-8)
+
+
+def test_closed_form_holds_up_to_the_degree_cap():
+    # the trapezoid rule still resolves the circle kernel at the top degree ...
+    lam, _ = quadrature_oracle(2, 1e-5, MAX_DEGREE)
+    assert funk_hecke_eigenvalue(KernelSpec(2, 1e-5), MAX_DEGREE) == pytest.approx(lam, rel=1e-8)
+    # ... and every degree obeys I_{mu-1} - I_{mu+1} = (2 mu / kappa) I_mu, mu = l + nu
+    for n in (2, 3, 4, 7):
+        nu = (n - 2) / 2.0
+        for t in (1e-2, 1e-3):
+            lams = [funk_hecke_eigenvalue(KernelSpec(n, t), l) for l in range(MAX_DEGREE + 1)]
+            for l in range(1, MAX_DEGREE):
+                assert lams[l - 1] == pytest.approx(
+                    lams[l + 1] + 4.0 * t * (l + nu) * lams[l], rel=1e-11), (n, t, l)
 
 
 @pytest.mark.parametrize("t", [0.5, 0.1, 1e-3])
@@ -130,6 +195,12 @@ def test_contraction_and_monotonicity():
             assert lams[0] == 1.0
             assert all(0.0 < lam <= 1.0 for lam in lams)
             assert all(b <= a + 1e-13 for a, b in zip(lams, lams[1:]))
+        # every degree up to the cap, out to times where all but lambda_0 underflow
+        for t in (0.05, 0.5, 1.5, 100.0, 1e300):
+            lams = [funk_hecke_eigenvalue(KernelSpec(n, t), l) for l in range(MAX_DEGREE + 1)]
+            assert lams[0] == 1.0
+            assert all(0.0 <= lam <= 1.0 for lam in lams), (n, t, min(lams))
+            assert all(b <= a for a, b in zip(lams, lams[1:])), (n, t)
 
 
 def test_chernoff_trivial_l0():
@@ -189,11 +260,11 @@ def test_normalization_small_t_n2():
 def test_normalization_small_t_n3():
     # the weight (1-s^2)^0 is constant at n=3, so the kernel normalizer hits
     # its leading form up to exponentially small terms; only the bound is
-    # meaningful here, the deviation sits at quadrature noise below t=1e-1.
+    # meaningful here, the deviation e^{-1/t}/(1 - e^{-1/t}) rounds to 0 below t=1e-1.
     pts = [normalization_constant(KernelSpec(3, t)) for t in (1e-1, 1e-2, 1e-3)]
     for p in pts:
         assert abs(p.ratio_minus_1) <= 10.0 * p.t
-    assert abs(pts[0].ratio_minus_1) == pytest.approx(math.exp(-10.0), rel=1e-3)
+    assert pts[0].ratio_minus_1 == pytest.approx(math.exp(-10.0) / (1 - math.exp(-10.0)), rel=1e-6)
     assert abs(pts[1].ratio_minus_1) < 1e-9
     assert abs(pts[2].ratio_minus_1) < 1e-9
 
@@ -219,16 +290,3 @@ def test_generator_envelope(n):
         env = generator_envelope(n, l, ts)
         assert env.within, [(p.t, p.deviation) for p in env.points]
 
-
-def test_quadrature_error_carries_nodes_and_estimates():
-    with pytest.raises(QuadratureError, match="kernel underflow at t=1e-09") as info:
-        normalization_constant(KernelSpec(4, 1e-9))
-    assert info.value.nodes == 64 and info.value.estimates == (math.inf,)
-    # agreement out of reach: a window of width ~t holds a handful of nodes
-    with pytest.raises(QuadratureError, match="did not reach") as info:
-        funk_hecke_eigenvalue(KernelSpec(3, 1e-6, MAX_NODES_JACOBI // 2), 2)
-    error = info.value
-    assert error.nodes == MAX_NODES_JACOBI and len(error.estimates) == 2
-    assert all(math.isfinite(e) for e in error.estimates)
-    assert f"reached {MAX_NODES_JACOBI} nodes" in str(error)
-    assert repr(error.estimates[1]) in str(error)

@@ -449,14 +449,6 @@ def test_gaussian_trotter_caps_total_steps(capsys, tmp_path, ferro_file):
     assert captured.out == "" and "steps, above the limit" in captured.err
 
 
-@pytest.mark.parametrize("n", ["2", "3"])
-def test_chernoff_rejects_oversized_node_start(capsys, n):
-    assert main(["chernoff", "--n", n, "--l", "1", "--t", "1.0", "--m", "8",
-                 "--nodes", "4000000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "node count must be <=" in captured.err
-
-
 @pytest.mark.parametrize("argv, message", [
     (["chernoff", "--n", "3", "--l", "1000000000", "--t", "0.5", "--m", "2"],
      "harmonic degree 1000000000 is above the cap"),
@@ -467,6 +459,9 @@ def test_chernoff_rejects_oversized_node_start(capsys, n):
     # the factor list of x12^(10^7) alone would take 169 MB
     (["gaussian", "moment", "--input", "{deep}", "--F", "{F}"],
      "an Isserlis sum over 10000000 factors needs about 20000001 nested calls"),
+    # f * g of two 300-term inputs would multiply 90,000 term pairs
+    (["griffiths", "--f", "{many}", "--g", "{many}"],
+     "a product of 300 by 300 terms multiplies 90000 term pairs, above the budget of 65536"),
 ])
 def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferro_file,
                                                 argv, message):
@@ -476,7 +471,13 @@ def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferr
     save_polynomial(variable(ModelDims(3, 10 ** 8), 1, 2, 2), str(wide))
     deep = tmp_path / "deep.json"
     save_polynomial(variable(ModelDims(1, 2), 1, 2, 10 ** 7, mode=GAUSSIAN), str(deep))
-    names = {"{u}": u12sq_n2, "{wide}": str(wide), "{deep}": str(deep), "{F}": ferro_file}
+    many = tmp_path / "many.json"  # 300 distinct monomials on the 15 pairs of 6 sites
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    many.write_text(json.dumps({"mode": "sphere", "n": 3, "N": 6, "terms": [
+        {"coeff": "1", "powers": [{"i": i, "j": j, "p": 1 + k // 15}]}
+        for k, (i, j) in enumerate(pairs * 20)]}))
+    names = {"{u}": u12sq_n2, "{wide}": str(wide), "{deep}": str(deep), "{F}": ferro_file,
+             "{many}": str(many)}
     tracemalloc.start()
     try:
         assert main([names.get(a, a) for a in argv]) == 3
@@ -505,17 +506,14 @@ def test_kernel_rejects_infinite_time(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, max_error", [
-    # a kernel narrower than the first trapezoid spacing: every early estimate is G_l(1) = 1
+    # a kernel of width t = 1e-6 around s = 1 (kappa = 5e5), at a low and the top degree
     (["chernoff", "--n", "2", "--l", "3", "--t", "1e-6", "--m", "1"], 1e-10),
     (["chernoff", "--n", "2", "--l", "256", "--t", "1e-6", "--m", "1"], 1e-7),
-    # a start above half the node cap: the first rule cannot double
-    (["chernoff", "--n", "2", "--l", "3", "--t", "0.5", "--m", "1", "--nodes", "2097152"], 1e-2),
 ])
 def test_chernoff_reaches_the_circle_eigenvalue(capsys, argv, max_error):
     """The n = 2 kernel eigenvalue is I_l(1/2t)/I_0(1/2t); ``error`` (against the heat
     semigroup) is then the Chernoff defect of one power, 6.0e-8 for l = 256 at t = 1e-6."""
     assert main(argv) == 0
-    rotorlab.clear_caches()  # the 2^21-node rule
     _, approx, reference, error = capsys.readouterr().out.splitlines()[1].split(",")
     l, t = int(argv[4]), float(argv[6])
     assert float(approx) == pytest.approx(ive(l, 0.5 / t) / ive(0, 0.5 / t), rel=0, abs=1e-10)
@@ -523,8 +521,11 @@ def test_chernoff_reaches_the_circle_eigenvalue(capsys, argv, max_error):
 
 
 @pytest.mark.parametrize("argv", [
-    ["chernoff", "--n", "3", "--l", "2", "--t", "1e-9", "--m", "8"],
-    ["normalization", "--n", "4", "--t-grid", "1e-9"],
+    # ive is nan from kappa = 1/2t = 2^30 on
+    ["chernoff", "--n", "3", "--l", "2", "--t", "1e-10", "--m", "1"],
+    # e^-kappa I_nu(kappa) underflows to 0 at order nu = 499999, and so does the numerator
+    ["chernoff", "--n", "1000000", "--l", "2", "--t", "0.5", "--m", "1"],
+    ["normalization", "--n", "2", "--t-grid", "1e-300"],
 ])
 def test_kernel_underflow_exits_3_without_warnings(capsys, argv):
     with warnings.catch_warnings():
@@ -532,8 +533,17 @@ def test_kernel_underflow_exits_3_without_warnings(capsys, argv):
         assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "kernel underflow" in captured.err and "RuntimeWarning" not in captured.err
-    assert "reached 64 nodes" in captured.err
+    assert f"Bessel ratio of the kernel is not a finite number at n={argv[2]}, t=" in captured.err
+    assert "RuntimeWarning" not in captured.err and "Traceback" not in captured.err
+
+
+def test_normalization_reaches_small_t(capsys):
+    # 1/B(1, kappa) - 1 = 3/(8 kappa) + O(kappa^-2) at n = 4, that is 0.75 t + O(t^2)
+    assert main(["normalization", "--n", "4", "--t-grid", "1e-4,1e-9"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [float(t) for t, _, _ in rows] == [1e-4, 1e-9]
+    for t, _, ratio_minus_1 in rows:
+        assert float(ratio_minus_1) == pytest.approx(0.75 * float(t), rel=1e-3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -655,10 +665,12 @@ def test_unknown_subcommand_exits_2(capsys):
     assert err.value.code == 2
 
 
-# -- seeded fuzz over the JSON-reading commands -------------------------------
+# -- seeded fuzz over the JSON-reading and the kernel commands -----------------
 
 FUZZ_EXTREMES = [True, False, None, [], [[]], {}, "1e400", 1e400, math.nan, 0, -1, 10 ** 9, "x"]
+FUZZ_GRIDS = ["0,1", "0:0.5:1", "nan", ",", "0:1:inf", "1,0"]  # drawn with the call's time
 FUZZ_CALLS = 150
+KERNEL_FUZZ_CALLS = 60
 FUZZ_SECONDS = 10  # per call
 
 
@@ -738,7 +750,7 @@ def _fuzz_argv(rng, tmp_path):
     if command == "evolve" and rng.random() < 0.5:
         argv += ["--check-cone"]
     if command == "flow":
-        argv += ["--t-grid", rng.choice(["0,1", "0:0.5:1", "nan", ",", "0:1:inf", "1,0", t])]
+        argv += ["--t-grid", rng.choice(FUZZ_GRIDS + [t])]
     if command in ("evolve", "flow", "gaussian trotter") and rng.random() < 0.3:
         argv += ["--cap", rng.choice(["0", "-1", "5000"])]
     if command == "gaussian trotter":
@@ -754,12 +766,32 @@ def _fuzz_argv(rng, tmp_path):
     return argv
 
 
+def _fuzz_kernel_argv(rng):
+    """A `chernoff` or `normalization` call on extreme dimensions, degrees, times and powers.
+
+    Each argument is drawn from its usual values, or three times in ten from the rest, so
+    that most calls reach the kernel and some reach the top degree at a small time step.
+    """
+    def pick(often, rest):
+        return str(rng.choice(rest if rng.random() < 0.3 else often))
+
+    n = pick([2, 3, 4, 7], [0, 1, 343, 344, 10 ** 6, 10 ** 9])
+    t = pick(["0.5", "1", "1e-300"], ["0", "-1", "nan", "inf", "1e308"])
+    if rng.random() < 0.7:
+        l = pick([2, 256], [-1, 0, 1, 257])
+        powers = pick(["1,2", "4096", "1,4096"], ["0", ",", "-1", "4097"])
+        return ["chernoff", "--n", n, "--l", l, "--t", t, "--m", powers]
+    return ["normalization", "--n", n, "--t-grid", pick([t, f"{t},1"], FUZZ_GRIDS)]
+
+
 # what the verdict commands print with an honest exit 1: a Griffiths verdict, a failed
 # cone check, a non-monotone flow, a Trotter cone breach, or `main`'s `violation:` line
 VERDICT = re.compile(r"violated|\[WARNING\]|monotone = false|cone preserved: false|violation:")
 
 
-def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
+def _fuzz(capsys, argvs):
+    """Each argv run through `main` under a FUZZ_SECONDS limit, with RuntimeWarning as an
+    error; returns the calls that broke the exit-code contract."""
     import signal
 
     class Timeout(Exception):
@@ -768,12 +800,10 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     def expire(signum, frame):
         raise Timeout
 
-    rng = random.Random(15)
     breaches = []
     previous = signal.signal(signal.SIGALRM, expire)
     try:
-        for _ in range(FUZZ_CALLS):
-            argv = _fuzz_argv(rng, tmp_path)
+        for argv in argvs:
             signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
             try:
                 with warnings.catch_warnings():
@@ -793,4 +823,16 @@ def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return breaches
+
+
+def test_cli_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(15)
+    breaches = _fuzz(capsys, (_fuzz_argv(rng, tmp_path) for _ in range(FUZZ_CALLS)))
+    assert not breaches, "\n".join(map(repr, breaches))
+
+
+def test_cli_fuzz_keeps_the_exit_code_contract_on_the_kernel_commands(capsys):
+    rng = random.Random(16)
+    breaches = _fuzz(capsys, (_fuzz_kernel_argv(rng) for _ in range(KERNEL_FUZZ_CALLS)))
     assert not breaches, "\n".join(map(repr, breaches))
