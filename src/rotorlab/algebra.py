@@ -419,6 +419,11 @@ class Coupling:
                 raise InputError(f"malformed coupling entry {entry!r}") from exc
         return cls.of(dims, items)
 
+    def exponent(self) -> DotPolynomial:
+        """sum J_ij u_ij, the exponent of the weight, in first-appearance order."""
+        terms = [(((pair, 1),), c) for pair, c in self.strengths.items()]
+        return DotPolynomial(self.dims, SPHERE, terms)
+
 
 # -- serialization ------------------------------------------------------------
 

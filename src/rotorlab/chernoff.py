@@ -97,15 +97,22 @@ def chernoff_iterate(spec: KernelSpec, l: int, m: int) -> ChernoffPoint:
     exactly by the heat module's Gegenbauer eigen-check before being relied
     on here.
     """
-    if m < 1:
-        raise InputError(f"Chernoff power must be >= 1, got {m}")
+    _check_power(m)
     lam = funk_hecke_eigenvalue(KernelSpec(spec.n, spec.t / m), l)
     approx = lam ** m
     reference = math.exp(-laplace_eigenvalue(spec.n, l) * spec.t)
     return ChernoffPoint(m, approx, reference, abs(approx - reference))
 
 
+def _check_power(m: int) -> None:
+    if m < 1:
+        raise InputError(f"Chernoff power must be >= 1, got {m}")
+
+
 def chernoff_table(spec: KernelSpec, l: int, ms: Sequence[int]) -> list[ChernoffPoint]:
+    """One point per power; every power is checked before the first eigenvalue."""
+    for m in ms:
+        _check_power(m)
     return [chernoff_iterate(spec, l, m) for m in ms]
 
 

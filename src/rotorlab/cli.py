@@ -87,11 +87,6 @@ def parse_int_list(text: str) -> list[int]:
     return out
 
 
-def _cap(args) -> dict:
-    """``--cap`` as a keyword, only when given: the engine's own default applies otherwise."""
-    return {} if args.cap is None else {"cap": args.cap}
-
-
 def _print_griffiths(report, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report.to_dict(), indent=2))
@@ -144,7 +139,7 @@ def cmd_evolve(args) -> int:
     from .heat import heat_evolve
 
     p = load_polynomial(args.input)
-    out = heat_evolve(p, args.t, **_cap(args))
+    out = heat_evolve(p, args.t)
     for mono, coeff in out.sorted_terms():
         factors = "*".join(f"u[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in mono)
         print(f"{factors or '1'} {format_float(coeff)}")
@@ -173,7 +168,7 @@ def cmd_flow(args) -> int:
 
     f = load_polynomial(args.f)
     g = load_polynomial(args.g)
-    flow = correlation_flow(f, g, parse_grid(args.t_grid), **_cap(args))
+    flow = correlation_flow(f, g, parse_grid(args.t_grid))
     print("t,h,monotone_ok")
     for t, h, ok in flow.rows():
         print(f"{t},{h!r},{str(ok).lower()}")
@@ -192,8 +187,8 @@ def cmd_chernoff(args) -> int:
 
 
 def cmd_normalization(args) -> int:
-    points = [normalization_constant(KernelSpec(args.n, t))
-              for t in parse_grid(args.t_grid)]
+    specs = [KernelSpec(args.n, t) for t in parse_grid(args.t_grid)]  # all valid before any c(t)
+    points = [normalization_constant(spec) for spec in specs]
     print("t,c,ratio_minus_1")
     for point in points:
         print(f"{point.t},{point.c!r},{point.ratio_minus_1!r}")
@@ -219,7 +214,7 @@ def cmd_gaussian(args) -> int:
         return 0 if report.verdict == HOLDS else 1
     # trotter
     p = load_polynomial(args.input)
-    report = trotter_compare(p, fmat, args.t, parse_int_list(args.m), **_cap(args))
+    report = trotter_compare(p, fmat, args.t, parse_int_list(args.m))
     print("m,max_error,min_intermediate_coeff")
     for point in report.points:
         print(f"{point.m},{point.max_error!r},{point.min_intermediate_coeff!r}")
@@ -304,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--check-cone", action="store_true")
-    p.add_argument("--cap", type=int)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("dirichlet", help="exact E[grad f . grad h]")
@@ -316,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--t-grid", required=True)
-    p.add_argument("--cap", type=int)
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("chernoff", help="kernel power convergence to the heat semigroup")
@@ -348,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     gt.add_argument("--F", required=True)
     gt.add_argument("--t", type=float, required=True)
     gt.add_argument("--m", required=True)
-    gt.add_argument("--cap", type=int)
     gt.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("mc", help="Monte Carlo cross-check of an exact value")

@@ -25,4 +25,4 @@ class NumericError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (basis size, harmonic degree) was exceeded."""
+    """A resource limit (basis size, harmonic degree, truncation order) was exceeded."""

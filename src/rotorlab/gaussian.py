@@ -50,14 +50,7 @@ from .algebra import (
 )
 from .errors import InputError, ResourceLimitError, ViolationError
 from .griffiths import GriffithsReport, second_report
-from .heat import (
-    DEFAULT_BASIS_CAP,
-    InvariantSubspace,
-    _flat_laplacian_mono,
-    _pair,
-    check_time,
-    close_basis,
-)
+from .heat import InvariantSubspace, _flat_laplacian_mono, _pair, check_time, close_basis
 from .numerics import expm
 from .wick import require_factors, vector_moment
 
@@ -243,14 +236,10 @@ def heat_apply(p: DotPolynomial, s: float) -> FloatPolynomial:
 
 # -- Trotter comparison -------------------------------------------------------
 
-def ou_invariant_basis(
-    p: DotPolynomial,
-    f: FerroMatrix,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> InvariantSubspace:
+def ou_invariant_basis(p: DotPolynomial, f: FerroMatrix) -> InvariantSubspace:
     """The OU generator A on the smallest A-closed monomial set containing p's terms."""
     _require_operand(p, f, "the OU invariant basis")
-    return close_basis(p.terms.keys(), p.dims, GAUSSIAN, partial(_ou_mono, f=f), cap)
+    return close_basis(p.terms.keys(), p.dims, GAUSSIAN, partial(_ou_mono, f=f))
 
 
 @dataclass(frozen=True)
@@ -272,7 +261,6 @@ def trotter_compare(
     f: FerroMatrix,
     t: float,
     ms: Sequence[int],
-    cap: int = DEFAULT_BASIS_CAP,
 ) -> TrotterReport:
     """(exp(t Delta / m) exp(-t drift / m))^m p against exp(tA) p.
 
@@ -287,7 +275,7 @@ def trotter_compare(
         raise ResourceLimitError(
             f"Trotter powers {list(ms)} need {sum(ms)} steps, above the limit of {MAX_TROTTER_STEPS}"
         )
-    semi = ou_invariant_basis(p, f, cap)
+    semi = ou_invariant_basis(p, f)
     reference = semi.evolve(p, t)
     import numpy as np
 

@@ -58,12 +58,10 @@ from .numerics import expm
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_BASIS_CAP = 5000
-
 DENSE_BYTES_BUDGET = 1 << 28
 """Bytes (256 MiB) that a dense float generator and its matrix-exponential
-workspace may take (about 1,800 basis monomials), and so may the spin arrays
-of one Monte Carlo shard."""
+workspace may take, and so may the spin arrays of one Monte Carlo shard.
+:func:`close_basis` derives its basis limit from it: 1,831 monomials."""
 
 
 def _pair(i: int, j: int) -> Pair:
@@ -172,22 +170,10 @@ class InvariantSubspace:
         return self._positions[mono]
 
     def as_float(self) -> np.ndarray:
-        """The generator as a dense float matrix, entry [i, j] = <basis_i | G basis_j>.
-
-        Refuses a basis whose generator would take more than
-        DENSE_BYTES_BUDGET with expm's workspace, before allocating it.
-        """
-        size = len(self.basis)
-        # peak of expm(as_float(), t), measured with tracemalloc: ten size x
-        # size float arrays (this matrix, its scaled copy, scipy's Pade workspace)
-        need = 10 * 8 * size * size
-        if need > DENSE_BYTES_BUDGET:
-            raise ResourceLimitError(
-                f"a dense generator on {size} monomials needs about {need >> 20} MiB with "
-                f"its expm workspace, above the budget of {DENSE_BYTES_BUDGET >> 20} MiB"
-            )
+        """The generator as a dense float matrix, entry [i, j] = <basis_i | G basis_j>."""
         import numpy as np
 
+        size = len(self.basis)
         out = np.zeros((size, size))
         for j, image in enumerate(self.columns):
             for mono, coeff in image.items():
@@ -216,37 +202,45 @@ def close_basis(
     dims: ModelDims,
     mode: str,
     generator: Generator,
-    cap: int = DEFAULT_BASIS_CAP,
 ) -> InvariantSubspace:
     """Smallest generator-closed monomial set containing the seeds, with exact columns.
 
     Monomials are numbered in discovery order (seeds sorted first, each
-    image's new monomials sorted), so the basis is deterministic.
+    image's new monomials sorted), so the basis is deterministic.  The basis
+    may grow only as far as its dense float generator fits DENSE_BYTES_BUDGET
+    with expm's workspace: ResourceLimitError as soon as it grows past that.
     """
+    # peak of expm(as_float(), t), measured with tracemalloc: ten size x
+    # size float arrays (the matrix, its scaled copy, scipy's Pade workspace)
+    limit = math.isqrt(DENSE_BYTES_BUDGET // 80)
     order = sorted(set(seeds))
     known = set(order)
     columns = []
     for mono in order:  # order grows while it is walked: a breadth-first closure
+        if len(order) > limit:  # the seed set, then each growth step
+            raise ResourceLimitError(
+                f"a dense generator on at least {len(order)} monomials, with its expm "
+                f"workspace, is above the budget of {DENSE_BYTES_BUDGET >> 20} MiB "
+                f"({limit} monomials)"
+            )
         image = generator(mono, dims)
         columns.append(image)
         fresh = sorted(m for m in image if m not in known)
-        if len(order) + len(fresh) > cap:
-            raise ResourceLimitError(f"invariant basis exceeded the cap of {cap} monomials")
         known.update(fresh)
         order.extend(fresh)
     return InvariantSubspace(dims, mode, tuple(order), tuple(columns))
 
 
-def build_invariant_basis(p: DotPolynomial, cap: int = DEFAULT_BASIS_CAP) -> InvariantSubspace:
+def build_invariant_basis(p: DotPolynomial) -> InvariantSubspace:
     """The Laplacian on the smallest Laplacian-closed monomial set containing p's terms."""
     if p.mode != SPHERE:
         raise InputError("invariant bases are built in sphere mode")
-    return close_basis(p.terms.keys(), p.dims, SPHERE, _laplacian_mono, cap)
+    return close_basis(p.terms.keys(), p.dims, SPHERE, _laplacian_mono)
 
 
-def heat_evolve(f: DotPolynomial, t: float, cap: int = DEFAULT_BASIS_CAP) -> FloatPolynomial:
+def heat_evolve(f: DotPolynomial, t: float) -> FloatPolynomial:
     """exp(t lap) f on the invariant basis of f; coefficients go float here."""
-    return build_invariant_basis(f, cap=cap).evolve(f, t)
+    return build_invariant_basis(f).evolve(f, t)
 
 
 @dataclass(frozen=True)
@@ -272,7 +266,6 @@ def correlation_flow(
     f: DotPolynomial,
     g: DotPolynomial,
     times: Sequence[float],
-    cap: int = DEFAULT_BASIS_CAP,
 ) -> CorrelationFlow:
     """The monotone interpolation from E[fg] down to E[f]E[g].
 
@@ -288,7 +281,7 @@ def correlation_flow(
         check_time(t, "a correlation flow")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise InputError("the t grid must be ascending")
-    sg = build_invariant_basis(g, cap=cap)
+    sg = build_invariant_basis(g)
     mat, vec = sg.as_float(), sg.vector(g)
     import numpy as np
 

@@ -120,16 +120,6 @@ def _evaluate_poly(p: DotPolynomial, spins: np.ndarray) -> np.ndarray:
     return total
 
 
-def _weight_values(coupling: Coupling, spins: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    exponent = np.zeros(spins.shape[0])
-    for (i, j), strength in coupling.strengths.items():
-        dot = np.einsum("sc,sc->s", spins[:, i - 1, :], spins[:, j - 1, :])
-        exponent += float(strength) * dot
-    return np.exp(exponent)
-
-
 def estimate_moment(
     p: DotPolynomial,
     samples: int,
@@ -165,8 +155,7 @@ def estimate_moment(
         chol = np.array(ratlin.cholesky_float(covariance))
     elif covariance is not None:
         raise InputError("covariance applies to gaussian mode only")
-    if coupling is not None:
-        coupling = Coupling.of(p.dims, coupling)
+    exponent = None if coupling is None else Coupling.of(p.dims, coupling).exponent()
     from .heat import DENSE_BYTES_BUDGET
 
     # the first shard is the largest: its draws and one transform of them, in float64
@@ -190,10 +179,10 @@ def estimate_moment(
             spins = _sphere_batch(p.dims, rng, count)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
             values = _evaluate_poly(p, spins)
-            if coupling is None:
+            if exponent is None:
                 stats: tuple[float, ...] = (float(values.sum()), float((values * values).sum()))
             else:
-                weights = _weight_values(coupling, spins)
+                weights = np.exp(_evaluate_poly(exponent, spins))
                 wp = weights * values
                 stats = (
                     float(weights.sum()),
@@ -208,7 +197,7 @@ def estimate_moment(
         done += count
         shard += 1
 
-    if coupling is None:
+    if exponent is None:
         total = math.fsum(s[0] for s in shard_stats)
         total_sq = math.fsum(s[1] for s in shard_stats)
         mean = total / samples

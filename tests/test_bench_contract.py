@@ -190,7 +190,6 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path, argv):
     ["chernoff", "--n", "2", "--l", "2", "--t", "0.5", "--m", "2"],
     ["mc", "--input", "{x}", "--F", "{F}", "--samples", "2000"],
     ["mc", "--input", "{u}", "--J", "{J}", "--samples", "2000"],
-    ["evolve", "--input", "{u}", "--t", "0.5", "--cap", "50"],
     ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e-300", "--m", "1"],
     ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "1e20", "--m", "1"],
     ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "5", "--m", "4096"],

@@ -25,6 +25,7 @@ from rotorlab.algebra import (
 )
 from rotorlab.cli import MAX_GRID_POINTS, main, parse_grid, parse_int_list
 from rotorlab.errors import InputError, ResourceLimitError
+from rotorlab.moments import MAX_ORDER
 
 
 @pytest.fixture()
@@ -462,6 +463,9 @@ def test_gaussian_trotter_caps_total_steps(capsys, tmp_path, ferro_file):
     # f * g of two 300-term inputs would multiply 90,000 term pairs
     (["griffiths", "--f", "{many}", "--g", "{many}"],
      "a product of 300 by 300 terms multiplies 90000 term pairs, above the budget of 65536"),
+    # with an empty coupling each order multiplies a growing factorial: 1.2 s at 20,000
+    (["moment", "--input", "{u}", "--J", "{J}", "--order", "100000"],
+     f"truncation order 100000 is above the cap of {MAX_ORDER}"),
 ])
 def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferro_file,
                                                 argv, message):
@@ -476,8 +480,10 @@ def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferr
     many.write_text(json.dumps({"mode": "sphere", "n": 3, "N": 6, "terms": [
         {"coeff": "1", "powers": [{"i": i, "j": j, "p": 1 + k // 15}]}
         for k, (i, j) in enumerate(pairs * 20)]}))
+    empty = tmp_path / "J.json"
+    empty.write_text(json.dumps({"terms": []}))
     names = {"{u}": u12sq_n2, "{wide}": str(wide), "{deep}": str(deep), "{F}": ferro_file,
-             "{many}": str(many)}
+             "{many}": str(many), "{J}": str(empty)}
     tracemalloc.start()
     try:
         assert main([names.get(a, a) for a in argv]) == 3
@@ -546,15 +552,36 @@ def test_normalization_reaches_small_t(capsys):
         assert float(ratio_minus_1) == pytest.approx(0.75 * float(t), rel=1e-3)
 
 
-@pytest.mark.parametrize("argv", [
+BASIS_COMMANDS = [
     ["evolve", "--input", "{u}", "--t", "0.5"],
     ["flow", "--f", "{u}", "--g", "{u}", "--t-grid", "0:0.5:2"],
-])
-def test_dense_generator_budget_exits_3(capsys, monkeypatch, u12sq_n2, argv):
+    ["gaussian", "trotter", "--input", "{x}", "--F", "{F}", "--t", "0.5", "--m", "2"],
+]
+
+
+def _basis_argv(tmp_path, u12sq_n2, ferro_file, argv):
+    x = tmp_path / "x12.json"
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), str(x))
+    names = {"{u}": u12sq_n2, "{x}": str(x), "{F}": ferro_file}
+    return [names.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv", BASIS_COMMANDS)
+def test_dense_generator_budget_exits_3(capsys, monkeypatch, tmp_path, u12sq_n2, ferro_file,
+                                        argv):
     monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 64)
-    assert main([a.replace("{u}", u12sq_n2) for a in argv]) == 3
+    assert main(_basis_argv(tmp_path, u12sq_n2, ferro_file, argv)) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "above the budget" in captured.err
+
+
+@pytest.mark.parametrize("argv", BASIS_COMMANDS)
+def test_basis_cap_flag_is_gone(capsys, tmp_path, u12sq_n2, ferro_file, argv):
+    with pytest.raises(SystemExit) as err:
+        main(_basis_argv(tmp_path, u12sq_n2, ferro_file, argv + ["--cap", "50"]))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --cap 50" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -618,6 +645,19 @@ def test_exact_values_beyond_the_float_range_print_inf(capsys, huge_coeff, ferro
 def test_normalization_validates_before_printing(capsys):
     assert main(["normalization", "--n", "3", "--t-grid", "0.1,0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # at n = 343 and t = 1 the kernel itself exits 3, so each bad entry must be found first
+    ["normalization", "--n", "343", "--t-grid", "1,0"],
+    ["normalization", "--n", "343", "--t-grid", "0,1"],
+    ["chernoff", "--n", "343", "--l", "2", "--t", "1", "--m", "1,0"],
+    ["chernoff", "--n", "343", "--l", "2", "--t", "1", "--m", "0,1"],
+])
+def test_bad_grid_or_power_exits_2_whatever_its_position(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err
 
 
 def test_mc_json_fields(capsys, u12sq_n2):
@@ -751,8 +791,6 @@ def _fuzz_argv(rng, tmp_path):
         argv += ["--check-cone"]
     if command == "flow":
         argv += ["--t-grid", rng.choice(FUZZ_GRIDS + [t])]
-    if command in ("evolve", "flow", "gaussian trotter") and rng.random() < 0.3:
-        argv += ["--cap", rng.choice(["0", "-1", "5000"])]
     if command == "gaussian trotter":
         argv += ["--m", rng.choice(["1,2", "0", "-1", ",", "4096", "4097"])]
     if command == "mc":
@@ -761,8 +799,8 @@ def _fuzz_argv(rng, tmp_path):
         argv += ["--F", write("F", _fuzz_matrix(rng, sites))]
     elif command in ("moment", "mc") and rng.random() < 0.5:
         argv += ["--J", write("J", _fuzz_coupling(rng))]
-    if "--J" in argv:  # a huge order has no cap yet: ROADMAP item 2
-        argv += ["--order", rng.choice(["0", "-1", "2"])]
+    if "--J" in argv:
+        argv += ["--order", rng.choice(["0", "-1", "2", str(MAX_ORDER + 1), "100000"])]
     return argv
 
 

@@ -19,7 +19,7 @@ from rotorlab.algebra import (
     variable,
 )
 from rotorlab.errors import InputError, ResourceLimitError
-from rotorlab.gaussian import ferro_from_rows, ou_invariant_basis
+from rotorlab.gaussian import ferro_from_rows, ou_invariant_basis, trotter_compare
 from rotorlab.heat import (
     build_invariant_basis,
     correlation_flow,
@@ -209,26 +209,46 @@ def test_invariant_basis_examples(n):
     assert sg3.basis == ((),) and entry(sg3, 0, 0) == Fraction(0)
 
 
-def test_basis_cap():
+def test_basis_cap(monkeypatch):
+    """Closure stops as soon as the basis outgrows the dense budget, before the rest of
+    the basis is generated."""
     dims = ModelDims(2, 4)
     p = variable(dims, 1, 2, 4) * variable(dims, 3, 4, 4)
-    with pytest.raises(ResourceLimitError):
-        build_invariant_basis(p, cap=3)
+    size = len(build_invariant_basis(p).basis)
+    calls = []
+
+    def counting(mono, dims):
+        calls.append(mono)
+        return heat._laplacian_mono(mono, dims)
+
+    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * 3 * 3)  # room for three monomials
+    with pytest.raises(ResourceLimitError, match="above the budget"):
+        heat.close_basis(p.terms.keys(), dims, SPHERE, counting)
+    assert 0 < len(calls) < size == 9
 
 
 def test_dense_generator_budget(monkeypatch):
     dims = ModelDims(2, 4)
     p = variable(dims, 1, 2, 4) * variable(dims, 3, 4, 4)
-    sg = build_invariant_basis(p)
-    size = len(sg.basis)
-    # ten size x size float64 arrays: the generator and expm's workspace
-    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * size * size)
-    assert sg.as_float().shape == (size, size)
-    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * size * size - 1)
-    for run in (sg.as_float, lambda: heat_evolve(p, 0.5),
-                lambda: correlation_flow(p, p, [0.0, 1.0])):
-        with pytest.raises(ResourceLimitError, match=f"dense generator on {size} monomials"):
+    x = variable(ModelDims(2, 2), 1, 2, 2, mode=GAUSSIAN)
+    f = ferro_from_rows([[2, -1], [-1, 2]])
+    rows = [
+        (len(build_invariant_basis(p).basis),
+         [lambda: build_invariant_basis(p), lambda: heat_evolve(p, 0.5),
+          lambda: correlation_flow(p, p, [0.0, 1.0])]),
+        (len(ou_invariant_basis(x, f).basis),
+         [lambda: ou_invariant_basis(x, f), lambda: trotter_compare(x, f, 0.5, [2])]),
+    ]
+    for size, runs in rows:
+        # ten size x size float64 arrays: the generator and expm's workspace
+        monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * size * size)
+        for run in runs:
             run()
+        monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 80 * size * size - 1)
+        refused = f"dense generator on at least {size} monomials"
+        for run in runs:
+            with pytest.raises(ResourceLimitError, match=refused):
+                run()
 
 
 def expm_rational(matrix, t, tol=Fraction(1, 10 ** 30)):

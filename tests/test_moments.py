@@ -256,13 +256,23 @@ def test_interacting_odd_moment_positive():
     assert result.numerator == expect_num
 
 
-def test_interacting_tail_bound_beyond_float_factorial():
-    # (K+1)! exceeds the float range for K >= 170; the bound itself does not
+def test_interacting_tail_bound_in_log_space():
+    # e^S S^(K+1) exceeds the float range at S = 560, K = 32; tau = e^S S^(K+1)/(K+1)! does not
     dims = MD(3, 2)
     p = variable(dims, 1, 2)
-    assert interacting_moment(p, {}, order=180).tail_gap == 0
-    gap = interacting_moment(p, {(1, 2): Fraction(1, 10)}, order=180).tail_gap
-    assert 0 <= gap < 1e-300
+    order = moments.MAX_ORDER
+    assert interacting_moment(p, {}, order=order).tail_gap == 0
+    result = interacting_moment(p, {(1, 2): 560}, order=order)
+    tau = math.exp(560 + (order + 1) * math.log(560) - math.lgamma(order + 2))
+    assert result.tail_gap == pytest.approx(tau * (1 + float(result.value)), rel=1e-12)
+
+
+def test_interacting_refuses_orders_above_the_cap(monkeypatch):
+    dims = MD(3, 2)
+    monkeypatch.setattr(moments, "sphere_moment", None)  # no moment may be taken
+    for order in (moments.MAX_ORDER + 1, 10 ** 9):
+        with pytest.raises(ResourceLimitError, match=f"order {order} is above the cap"):
+            interacting_moment(variable(dims, 1, 2), {(1, 2): Fraction(1, 10)}, order=order)
 
 
 def test_interacting_rejects_negative_coupling():
