@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": "GAUSSIAN SPHERE Coupling DotPolynomial FloatPolynomial ModelDims constant "
                "load_polynomial one save_polynomial variable zero",
-    "chernoff": "KernelSpec chernoff_iterate chernoff_table funk_hecke_eigenvalue "
-                "generator_envelope generator_limit normalization_constant",
+    "chernoff": "KernelSpec chernoff_table funk_hecke_eigenvalue generator_envelope "
+                "normalization_constant",
     "errors": "InputError NumericError ResourceLimitError ViolationError",
     "gaussian": "FerroMatrix check_gaussian_griffiths covariance ferro_from_rows "
                 "gaussian_laplacian gaussian_moment matrix_semigroup ou_generator trotter_compare",
-    "griffiths": "GriffithsReport check_first check_second random_cone_poly",
+    "griffiths": "GriffithsReport check_second random_cone_poly",
     "heat": "build_invariant_basis correlation_flow dirichlet grad_dot heat_evolve laplacian",
     "mc": "MCEstimate estimate_moment",
     "moments": "eliminate_site interacting_moment radial_moment sphere_moment "
@@ -38,10 +38,10 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
 
 __all__ = [*_MODULE_OF, "clear_caches"]
 
-# every memo in the package: lru_cache functions and module-level dicts
+# every memo in the package, each an lru_cache function
 _MEMOS = {
     "moments": "radial_moment _partner_pairing_sum _mono_moment _incidence _compaction",
-    "wick": "_memos",
+    "wick": "_memo",
     "zonal": "gegenbauer_coefficients",
 }
 
@@ -69,5 +69,4 @@ def clear_caches() -> None:
     for module, names in _MEMOS.items():
         if loaded := sys.modules.get(f"{__name__}.{module}"):
             for name in names.split():
-                memo = getattr(loaded, name)
-                (memo.cache_clear if hasattr(memo, "cache_clear") else memo.clear)()
+                getattr(loaded, name).cache_clear()

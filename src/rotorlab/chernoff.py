@@ -90,30 +90,22 @@ class ChernoffPoint:
     error: float
 
 
-def chernoff_iterate(spec: KernelSpec, l: int, m: int) -> ChernoffPoint:
-    """lambda_l(t/m)^m against the heat-semigroup reference e^{-l(l+n-2)t}.
-
-    The reference eigenvalue is the standard zonal-harmonic fact, re-derived
-    exactly by the heat module's Gegenbauer eigen-check before being relied
-    on here.
-    """
-    _check_power(m)
-    lam = funk_hecke_eigenvalue(KernelSpec(spec.n, spec.t / m), l)
-    approx = lam ** m
-    reference = math.exp(-laplace_eigenvalue(spec.n, l) * spec.t)
-    return ChernoffPoint(m, approx, reference, abs(approx - reference))
-
-
-def _check_power(m: int) -> None:
-    if m < 1:
-        raise InputError(f"Chernoff power must be >= 1, got {m}")
-
-
 def chernoff_table(spec: KernelSpec, l: int, ms: Sequence[int]) -> list[ChernoffPoint]:
-    """One point per power; every power is checked before the first eigenvalue."""
+    """lambda_l(t/m)^m against the heat-semigroup reference e^{-l(l+n-2)t}, one point per m.
+
+    Every power is checked before the first eigenvalue: InputError below 1,
+    NumericError where the step t/m underflows to 0.  The reference eigenvalue
+    is the standard zonal-harmonic fact, re-derived exactly by the heat
+    module's Gegenbauer eigen-check before being relied on here.
+    """
     for m in ms:
-        _check_power(m)
-    return [chernoff_iterate(spec, l, m) for m in ms]
+        if m < 1:
+            raise InputError(f"Chernoff power must be >= 1, got {m}")
+    if ms and spec.t / max(ms) == 0.0:
+        raise NumericError(f"the time step t/m underflows to 0 at t={spec.t!r}, m={max(ms)}")
+    approxes = [funk_hecke_eigenvalue(KernelSpec(spec.n, spec.t / m), l) ** m for m in ms]
+    reference = math.exp(-laplace_eigenvalue(spec.n, l) * spec.t)
+    return [ChernoffPoint(m, a, reference, abs(a - reference)) for m, a in zip(ms, approxes)]
 
 
 def sphere_area(n: int) -> float:
@@ -169,13 +161,6 @@ class GeneratorEnvelope:
     within: bool     # deviation <= constant * sqrt(t) on the whole grid
 
 
-def generator_limit(spec: KernelSpec, l: int) -> GeneratorPoint:
-    """Difference quotient toward the Laplacian eigenvalue at one time."""
-    lam = funk_hecke_eigenvalue(spec, l)
-    value = (lam - 1.0) / spec.t
-    return GeneratorPoint(spec.t, value, abs(value + laplace_eigenvalue(spec.n, l)))
-
-
 def generator_envelope(
     n: int,
     l: int,
@@ -189,10 +174,13 @@ def generator_envelope(
     grid = sorted(float(t) for t in ts)
     if not grid:
         raise InputError("generator envelope needs a non-empty t grid")
-    points = tuple(generator_limit(KernelSpec(n, t), l) for t in grid)
+    points = []
+    for t in grid:  # the difference quotient toward the Laplacian eigenvalue at each time
+        value = (funk_hecke_eigenvalue(KernelSpec(n, t), l) - 1.0) / t
+        points.append(GeneratorPoint(t, value, abs(value + laplace_eigenvalue(n, l))))
     t_fit = points[-1].t
     constant = points[-1].deviation / math.sqrt(t_fit)
     within = all(
         p.deviation <= constant * math.sqrt(p.t) * (1.0 + 1e-9) for p in points
     )
-    return GeneratorEnvelope(l, n, points, constant, within)
+    return GeneratorEnvelope(l, n, tuple(points), constant, within)

@@ -237,15 +237,15 @@ def cmd_mc(args) -> int:
         cov = covariance(ferro_from_dict(read_json(args.F, "matrix")))
     elif p.mode == GAUSSIAN:
         raise InputError("gaussian-mode input needs --F for the coupling matrix")
-    estimate = estimate_moment(p, args.samples, args.seed, coupling=coupling, covariance=cov)
     extra = {}
-    if coupling is not None:
+    if coupling is not None:  # the exact value first: its caps refuse before any shard is drawn
         exact = interacting_moment(p, coupling, order=args.order)
         value, extra = exact.value, {"tail_gap": exact.tail_gap}
     elif p.mode == GAUSSIAN:
         value = gaussian_moment(p, cov)
     else:
         value = sphere_moment(p)
+    estimate = estimate_moment(p, args.samples, args.seed, coupling=coupling, covariance=cov)
     payload = {
         "mean": estimate.mean,
         "stderr": estimate.stderr,

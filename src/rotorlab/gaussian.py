@@ -214,12 +214,6 @@ def _require_operand(p: DotPolynomial, f: FerroMatrix, what: str) -> None:
         raise InputError(f"coupling is {f.size}x{f.size} but N={p.dims.sites}")
 
 
-def drift(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
-    """The vector field grad Q . grad applied exactly."""
-    _require_operand(p, f, "drift")
-    return apply_generator(p, lambda mono, dims: _drift_mono(mono, f))
-
-
 def ou_generator(p: DotPolynomial, f: FerroMatrix) -> DotPolynomial:
     """A = Delta - grad Q . grad, the Ornstein-Uhlenbeck generator."""
     _require_operand(p, f, "ou_generator")
@@ -276,15 +270,17 @@ def trotter_compare(
             f"Trotter powers {list(ms)} need {sum(ms)} steps, above the limit of {MAX_TROTTER_STEPS}"
         )
     semi = ou_invariant_basis(p, f)
-    reference = semi.evolve(p, t)
+    check_time(t, "semigroup evolution")
     import numpy as np
 
     generator = semi.as_float()
+    start = semi.vector(p)
+    target = expm(generator, t) @ start
+    reference = semi.polynomial(target)
     degree = np.array([sum(power for _, power in mono) for mono in semi.basis])
     # Delta lowers total degree by exactly 2 and the drift keeps it
     laplacian = np.where(degree[:, None] < degree[None, :], generator, 0.0)
     neg_drift = generator - laplacian
-    start, target = semi.vector(p), semi.vector(reference)
     track_cone = p.is_cone()
     points = []
     for m in ms:

@@ -68,13 +68,6 @@ def _model_descriptor(p: DotPolynomial) -> str:
     return f"{p.mode} n={p.dims.n} N={p.dims.sites} (cone checked at representation level)"
 
 
-def check_first(f: DotPolynomial) -> tuple[Fraction, str]:
-    """Exact E[f] and the first-inequality verdict for a cone polynomial."""
-    _require_cone(f, "f")
-    value = sphere_moment(f)
-    return value, HOLDS if value >= 0 else VIOLATED
-
-
 def second_report(
     f: DotPolynomial,
     g: DotPolynomial,
@@ -130,7 +123,7 @@ def random_cone_poly(
             bump = 2 if i == j else 1
             if degrees[i - 1] + bump > degree_budget or degrees[j - 1] + 1 > degree_budget:
                 continue
-            degrees[i - 1] += bump if i == j else 1
+            degrees[i - 1] += bump
             if i != j:
                 degrees[j - 1] += 1
             powers[(i, j)] = powers.get((i, j), 0) + 1

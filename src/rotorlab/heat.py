@@ -189,12 +189,15 @@ class InvariantSubspace:
             vec[self.index(mono)] = float(coeff)
         return vec
 
+    def polynomial(self, vec: np.ndarray) -> FloatPolynomial:
+        """The polynomial with float coefficients vec in this basis; zeros are dropped."""
+        terms = {mono: float(v) for mono, v in zip(self.basis, vec) if v != 0.0}
+        return FloatPolynomial(self.dims, self.mode, terms)
+
     def evolve(self, p: DotPolynomial, t: float) -> FloatPolynomial:
         """exp(t G) p; the coefficients go float here."""
         check_time(t, "semigroup evolution")
-        out = expm(self.as_float(), t) @ self.vector(p)
-        terms = {mono: float(v) for mono, v in zip(self.basis, out) if v != 0.0}
-        return FloatPolynomial(self.dims, self.mode, terms)
+        return self.polynomial(expm(self.as_float(), t) @ self.vector(p))
 
 
 def close_basis(

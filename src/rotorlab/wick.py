@@ -22,8 +22,8 @@ states are memoised per (scaled covariance, n), and only the
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -35,9 +35,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # stay within this many frames, which leaves most of the interpreter's
 # default limit of 1000 to their callers.
 RECURSION_BUDGET = 400
-# Chain memos are kept for this many (scaled covariance, n) keys, most recent last.
+# Chain memos are kept for this many (scaled covariance, n) keys.
 MEMO_SLOTS = 8
-_memos: OrderedDict[tuple[IntMatrix, int], dict] = OrderedDict()
 
 
 def require_depth(frames: int, what: str) -> None:
@@ -58,6 +57,12 @@ def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     rows = [[Fraction(x) for x in row] for row in cov]
     denom = math.lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
+
+
+@lru_cache(maxsize=MEMO_SLOTS)
+def _memo(scaled: IntMatrix, n: int) -> dict[tuple[tuple[Pair0, ...], Pair0 | None], int]:
+    """The chain memo of one (scaled covariance, n); the least recently used is dropped."""
+    return {}
 
 
 def _chain_sum(
@@ -105,14 +110,6 @@ def vector_moment(
     """
     require_factors(len(factors))
     scaled, denom = _scale_cov(cov)
-    key = (scaled, n)
-    memo = _memos.get(key)
-    if memo is None:
-        memo = _memos[key] = {}
-        if len(_memos) > MEMO_SLOTS:
-            _memos.popitem(last=False)
-    else:
-        _memos.move_to_end(key)
     # every term of the sum is a product of exactly one covariance entry per factor
-    total = _chain_sum(tuple(sorted(factors)), None, scaled, n, memo)
+    total = _chain_sum(tuple(sorted(factors)), None, scaled, n, _memo(scaled, n))
     return Fraction(total, denom ** len(factors))

@@ -23,8 +23,7 @@ def _memos():
 
 
 def memo_sizes():
-    return {name: memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
-            for name, memo in _memos()}
+    return {name: memo.cache_info().currsize for name, memo in _memos()}
 
 
 def test_registry_lists_every_memo():
@@ -79,7 +78,7 @@ def test_wick_memo_keeps_a_fixed_number_of_covariances():
     assert len(covs) == 20
     for cov in covs:
         gaussian_moment(p, cov)
-    assert len(wick._memos) == wick.MEMO_SLOTS
+    assert wick._memo.cache_info().currsize == wick.MEMO_SLOTS
 
 
 def test_moment_memos_have_a_bound():

@@ -14,7 +14,6 @@ from rotorlab.chernoff import (
     chernoff_table,
     funk_hecke_eigenvalue,
     generator_envelope,
-    generator_limit,
     normalization_constant,
     sphere_area,
 )
@@ -270,16 +269,16 @@ def test_normalization_small_t_n3():
 
 
 def test_generator_limit_l0():
-    point = generator_limit(KernelSpec(3, 0.01), 0)
+    point = generator_envelope(3, 0, [0.01]).points[0]
     assert point.value == 0.0 and point.deviation == 0.0
 
 
 def test_generator_limit_values():
     # circle: (lambda_1(t)-1)/t -> -1
-    point = generator_limit(KernelSpec(2, 1e-4), 1)
+    point = generator_envelope(2, 1, [1e-4]).points[0]
     assert point.value == pytest.approx(-1.0, abs=2e-2)
     # S^2: eigenvalue l(l+n-2) = 2 at l=1
-    point = generator_limit(KernelSpec(3, 1e-3), 1)
+    point = generator_envelope(3, 1, [1e-3]).points[0]
     assert point.value == pytest.approx(-2.0, abs=5e-2)
 
 

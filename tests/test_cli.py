@@ -543,6 +543,17 @@ def test_kernel_underflow_exits_3_without_warnings(capsys, argv):
     assert "RuntimeWarning" not in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("powers", ["2,1", "1,2"])
+def test_chernoff_underflowed_step_exits_3(capsys, monkeypatch, powers):
+    # t/2 rounds to 0 at the smallest subnormal t, whichever position the power takes;
+    # it is refused before the first eigenvalue
+    monkeypatch.setattr(rotorlab.chernoff, "funk_hecke_eigenvalue", None)
+    assert main(["chernoff", "--n", "3", "--l", "2", "--t", "5e-324", "--m", powers]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the time step t/m underflows to 0 at t=5e-324, m=2" in captured.err
+
+
 def test_normalization_reaches_small_t(capsys):
     # 1/B(1, kappa) - 1 = 3/(8 kappa) + O(kappa^-2) at n = 4, that is 0.75 t + O(t^2)
     assert main(["normalization", "--n", "4", "--t-grid", "1e-4,1e-9"]) == 0
@@ -600,10 +611,11 @@ def test_basis_cap_flag_is_gone(capsys, tmp_path, u12sq_n2, ferro_file, argv):
     (["mc", "--input", "{huge_x}", "--F", "{F}", "--samples", "2000"], "too large for a float"),
     (["gaussian", "trotter", "--input", "{huge_x}", "--F", "{F}", "--t", "1.0", "--m", "2"],
      "too large for a float"),
-    # the samples fit, their squares do not; exp(1000 u12) leaves the float range
+    # the samples fit, their squares do not
     (["mc", "--input", "{u300}", "--samples", "2000"], "sample sums of shard 0 leave the float"),
+    # e^1000 leaves the float range: the exact value's tail bound refuses before any shard
     (["mc", "--input", "{u}", "--J", "{J1000}", "--samples", "2000"],
-     "sample sums of shard 0 leave the float"),
+     "coupling sum 1000 and truncation order 8 exceeds the float range"),
 ])
 def test_float_overflow_exits_3_without_warnings(capsys, tmp_path, u12sq_n2, ferro_file,
                                                  huge_coeff, argv, message):
@@ -653,6 +665,8 @@ def test_normalization_validates_before_printing(capsys):
     ["normalization", "--n", "343", "--t-grid", "0,1"],
     ["chernoff", "--n", "343", "--l", "2", "--t", "1", "--m", "1,0"],
     ["chernoff", "--n", "343", "--l", "2", "--t", "1", "--m", "0,1"],
+    # and a bad power before the step t/m = 5e-324/2 that underflows
+    ["chernoff", "--n", "3", "--l", "2", "--t", "5e-324", "--m", "2,0"],
 ])
 def test_bad_grid_or_power_exits_2_whatever_its_position(capsys, argv):
     assert main(argv) == 2
@@ -673,6 +687,20 @@ def test_mc_deterministic_replay(capsys, u12sq_n2):
     first = capsys.readouterr().out
     main(["mc", "--input", u12sq_n2, "--samples", "20000", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("samples", ["4000000", "0"])
+def test_mc_refuses_the_order_before_sampling(capsys, monkeypatch, tmp_path, u12sq_n2, samples):
+    from rotorlab import mc
+
+    monkeypatch.setattr(mc, "estimate_moment", None)  # a shard drawn would fail with TypeError
+    coupling = tmp_path / "J.json"
+    coupling.write_text(json.dumps({"terms": [{"i": 1, "j": 2, "coeff": "1/10"}]}))
+    assert main(["mc", "--input", u12sq_n2, "--J", str(coupling), "--order", str(MAX_ORDER + 1),
+                 "--samples", samples]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"truncation order {MAX_ORDER + 1} is above the cap of {MAX_ORDER}" in captured.err
 
 
 def test_mc_weighted(capsys, tmp_path):

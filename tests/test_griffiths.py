@@ -11,7 +11,6 @@ from rotorlab.algebra import GAUSSIAN, ModelDims, constant, one, variable
 from rotorlab.errors import InputError, ViolationError
 from rotorlab.griffiths import (
     GriffithsReport,
-    check_first,
     check_second,
     random_cone_poly,
     run_random_suite,
@@ -22,21 +21,6 @@ from test_algebra import constant_term, is_constant
 
 D23 = ModelDims(2, 3)
 D33 = ModelDims(3, 3)
-
-
-def test_check_first_examples():
-    value, verdict = check_first(variable(D33, 1, 2))
-    assert value == 0 and verdict == "holds"
-    value, verdict = check_first(variable(D23, 1, 2, 2))
-    assert value == Fraction(1, 2) and verdict == "holds"
-    tri = variable(D33, 1, 2) * variable(D33, 2, 3) * variable(D33, 1, 3)
-    value, verdict = check_first(tri)
-    assert value == Fraction(1, 9) and verdict == "holds"
-
-
-def test_check_first_refuses_non_cone():
-    with pytest.raises(InputError, match="negative coefficients"):
-        check_first(variable(D23, 1, 2) - constant(D23, 1))
 
 
 def test_check_second_square_pair():

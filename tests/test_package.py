@@ -14,11 +14,11 @@ SRC = str(Path(rotorlab.__file__).resolve().parent.parent)
 PUBLIC = """
     Coupling DotPolynomial FerroMatrix FloatPolynomial GAUSSIAN GriffithsReport InputError
     KernelSpec MCEstimate ModelDims NumericError ResourceLimitError SPHERE
-    ViolationError algebra build_invariant_basis check_first check_gaussian_griffiths
-    check_second chernoff chernoff_iterate chernoff_table clear_caches constant
+    ViolationError algebra build_invariant_basis check_gaussian_griffiths check_second
+    chernoff chernoff_table clear_caches constant
     correlation_flow covariance dirichlet eliminate_site errors estimate_moment
     ferro_from_rows funk_hecke_eigenvalue gaussian gaussian_laplacian gaussian_moment
-    gegenbauer_coefficients generator_envelope generator_limit grad_dot griffiths
+    gegenbauer_coefficients generator_envelope grad_dot griffiths
     heat heat_evolve interacting_moment laplace_eigenvalue laplacian load_polynomial
     matrix_semigroup mc moments normalization_constant numerics one ou_generator
     radial_moment random_cone_poly ratlin save_polynomial sphere_moment sphere_moment_oracle
