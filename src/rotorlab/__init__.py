@@ -40,7 +40,8 @@ __all__ = [*_MODULE_OF, "clear_caches"]
 
 # every memo in the package, each an lru_cache function
 _MEMOS = {
-    "moments": "radial_moment _partner_pairing_sum _mono_moment _incidence _compaction",
+    "moments": "radial_moment _partner_pairing_sum _mono_moment _incidence _compaction "
+               "_relabelling",
     "wick": "_memo",
     "zonal": "gegenbauer_coefficients",
 }

@@ -10,11 +10,15 @@ sites, relabelled 0..K-1, and the tuple of its exponents over all K(K-1)/2
 pairs.  A child is the parent vector with the eliminated site's slots
 zeroed, the pairing fragment's slots added, and the eliminated site (and
 any partner left with degree 0) dropped by one precomputed selector per
-(K, kept sites), so no child is relabelled or re-sorted.  The arithmetic is
-in integers: per vector it carries N = R * S, where S is the sphere moment
-and R the product of the radial moments of its site degrees.  N is the
-monomial's identity-covariance Gaussian moment, so it is an integer, and
-one ``Fraction(N, R)`` is built per monomial at the end.  ``eliminate_site``
+(K, kept sites), so no child is re-sorted.  The product measure does not
+change when the sites are permuted, so a state on at most 8 sites that
+misses the memo is relabelled once, by a site invariant, and isomorphic
+states mostly share one elimination.  The arithmetic is in integers: per
+vector it carries N = R * S, where S is the sphere moment and R the product
+of the radial moments of its site degrees.  N is the monomial's
+identity-covariance Gaussian moment, so it is an integer, and the terms of a
+polynomial are summed over one common denominator into a single
+``Fraction``.  ``eliminate_site``
 runs the same kernel, maps the children back through the monomial's site
 labels and divides by the radial moment once per monomial.
 ``sphere_moment_oracle`` computes the same quantity along an entirely
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from operator import itemgetter
 from typing import Mapping
 
 from . import wick
@@ -54,8 +59,16 @@ from .algebra import (
 from .errors import InputError, NumericError, ResourceLimitError
 
 MEMO_SIZE = 1 << 16
-"""Entries kept by each moment memo.  The ``exact`` benchmark workload visits
-18,813 elimination states, so 2^16 keeps every one of them."""
+"""Entries kept by each moment memo.  The ``exact`` benchmark workload (seed 1)
+stores 15,634 elimination states: 4,520 eliminated, 7,507 answered by their
+relabelled vector and 3,607 of odd degree.  2^16 keeps every one of them."""
+
+RELABEL_SITES = 8
+"""Elimination states on at most this many sites are relabelled into their
+:func:`_site_order` before they are eliminated (see :func:`_mono_moment`).
+A relabelled state costs one more frame, so the limit also keeps large
+monomials within the recursion budget: relabelling every state of the
+390-site chain u12^2 u23^2 ... would need 782 frames."""
 
 MAX_ORDER = 32
 """Largest truncation order :func:`interacting_moment` accepts.  The benchmark
@@ -99,7 +112,7 @@ def _vector(mono: Mono) -> tuple[tuple[int, ...], Vec]:
     The vector grows as the square of the site count, so a monomial on more
     sites than any elimination can nest through is refused before it is built.
     """
-    sites = tuple(sorted(site_degrees(mono)))
+    sites = tuple(sorted({site for pair, _ in mono for site in pair}))
     wick.require_depth(len(sites), f"eliminating {len(sites)} sites")
     index = {s: k for k, s in enumerate(sites)}
     vec = [0] * _slot(0, len(sites))
@@ -114,6 +127,10 @@ def _pair(slot: int) -> Pair:
     return slot - b * (b - 1) // 2, b
 
 
+# the pair of every slot of a vector on at most RELABEL_SITES sites
+_PAIRS = tuple(_pair(slot) for slot in range(_slot(0, RELABEL_SITES)))
+
+
 def _degrees(vec: Vec) -> list[int]:
     """Per-site degrees of a non-empty exponent vector; every site is present."""
     degs = [0] * _pair(len(vec))[1]  # K sites fill _slot(0, K) slots
@@ -122,6 +139,53 @@ def _degrees(vec: Vec) -> list[int]:
         degs[a] += vec[slot]
         degs[b] += vec[slot]
     return degs
+
+
+def _weight(p: int) -> int:
+    """One exponent's share of a site key: p, then -p^2, then -p^3, in 32-bit fields."""
+    return (p << 64) - (p * p << 32) - p * p * p
+
+
+# the weights of the small exponents that fill almost every state
+_WEIGHTS = tuple(map(_weight, range(64)))
+
+
+def _site_order(vec: Vec) -> tuple[list[int], tuple[int, ...]]:
+    """Per-site degrees of a non-empty exponent vector on at most
+    :data:`RELABEL_SITES` sites, and its sites sorted by their keys.
+
+    A site's key is its degree, then the sums of the squares and of the
+    cubes of its exponents, the larger sums first.  Keys do not change when
+    the sites are relabelled, so relabelling by the sorted order maps most
+    isomorphic monomials to one vector, and the relabelled vector's order is
+    the identity.  Exponents too large for the key's 32-bit fields change
+    only which order is taken, never a moment.
+    """
+    degs = [0] * _pair(len(vec))[1]
+    keys = degs.copy()
+    for slot in compress(range(len(vec)), vec):
+        p = vec[slot]
+        a, b = _PAIRS[slot]
+        degs[a] += p
+        degs[b] += p
+        key = _WEIGHTS[p] if p < len(_WEIGHTS) else _weight(p)
+        keys[a] += key
+        keys[b] += key
+    return degs, tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+@lru_cache(maxsize=4096)
+def _relabelling(order: tuple[int, ...]) -> itemgetter:
+    """Picks the vector relabelled by ``order`` out of a vector on its sites.
+
+    Site ``order[a]`` becomes a, so the new slot of (a, b) takes the old slot
+    of (order[a], order[b]).  The two sites of a one-slot vector share a key,
+    so an order to apply has at least three sites and the getter returns a
+    tuple.
+    """
+    return itemgetter(*(
+        _slot(*sorted((order[a], order[b]))) for b in range(len(order)) for a in range(b)
+    ))
 
 
 @lru_cache(maxsize=1024)
@@ -249,16 +313,26 @@ def _mono_moment(vec: Vec, n: int) -> tuple[int, int]:
     the elimination below runs in integers.  A child m' of m lowers every
     site degree by an even amount, so R_rest // R(m') is exact, R_rest being
     R without the eliminated site's factor.
+
+    The moment does not change when the sites are relabelled.  A vector on at
+    most :data:`RELABEL_SITES` sites is answered by the vector relabelled in
+    its :func:`_site_order`, so isomorphic states mostly share one
+    elimination.  That vector is its own relabelling, so this costs at most
+    one extra frame per state.
     """
     if not vec:
         return 1, 1
-    degs = _degrees(vec)
+    relabel = len(vec) <= len(_PAIRS)
+    degs, order = _site_order(vec) if relabel else (_degrees(vec), None)
     if any(d % 2 for d in degs):
         return 0, 1
-    # one frame per site still to eliminate, plus the deepest pairing sum;
-    # site degrees never grow under elimination
+    # one frame per site still to eliminate, one more per relabelled state,
+    # plus the deepest pairing sum; site degrees never grow under elimination
     top = max(degs)
-    wick.require_depth(len(degs) + top // 2, f"eliminating {len(degs)} sites of degree up to {top}")
+    frames = len(degs) + min(len(degs), RELABEL_SITES) + top // 2
+    wick.require_depth(frames, f"eliminating {len(degs)} sites of degree up to {top}")
+    if relabel and order != tuple(range(len(order))):
+        return _mono_moment(_relabelling(order)(vec), n)
     radial = 1
     for d in degs:
         radial *= radial_moment(n, d)
@@ -273,14 +347,22 @@ def _mono_moment(vec: Vec, n: int) -> tuple[int, int]:
 
 
 def sphere_moment(p: DotPolynomial) -> Fraction:
-    """Exact expectation of p under the product of normalized sphere measures."""
+    """Exact expectation of p under the product of normalized sphere measures.
+
+    The terms c * N / R are summed in integers over one running denominator,
+    so one ``Fraction`` is built per polynomial.
+    """
     if p.mode != SPHERE:
         raise InputError("sphere_moment acts on sphere-mode polynomials")
-    total = Fraction(0)
+    num, den = 0, 1
     for mono, coeff in p.terms.items():
         scaled, radial = _mono_moment(_vector(mono)[1], p.dims.n)
-        total += coeff * Fraction(scaled, radial)
-    return total
+        if scaled:
+            term_den = coeff.denominator * radial
+            common = math.lcm(den, term_den)
+            num = num * (common // den) + coeff.numerator * scaled * (common // term_den)
+            den = common
+    return Fraction(num, den)
 
 
 def sphere_moment_oracle(mono: Mono, dims: ModelDims) -> Fraction:
@@ -297,7 +379,7 @@ def sphere_moment_oracle(mono: Mono, dims: ModelDims) -> Fraction:
     if not mono:
         return Fraction(1)
     index = {s: k for k, s in enumerate(sorted(degs))}
-    identity = [[Fraction(i == j) for j in range(len(index))] for i in range(len(index))]
+    identity = [[int(i == j) for j in range(len(index))] for i in range(len(index))]
     factors = []
     for (i, j), p in mono:
         factors.extend([(index[i], index[j])] * p)

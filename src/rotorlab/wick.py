@@ -54,7 +54,7 @@ def require_factors(count: int) -> None:
 
 def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     """Integer matrix D * cov and D, the lcm of the entries' denominators."""
-    rows = [[Fraction(x) for x in row] for row in cov]
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in cov]
     denom = math.lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
 

@@ -333,8 +333,10 @@ def test_sphere_moment_matches_oracle_on_many_sites(sites):
 
 
 def test_mono_moment_visits_pinned_states():
-    # the memo's hits and misses count the elimination states; any change to
-    # which children the kernel builds, or how it keys them, moves them
+    # the memo's hits and misses count the elimination states, a relabelled
+    # state counting twice (its own vector and the relabelled one); any change
+    # to which children the kernel builds, how it keys them, or how it
+    # relabels them moves them
     rotorlab.clear_caches()
     for n in (2, 3):
         dims = MD(n, 5)
@@ -347,8 +349,64 @@ def test_mono_moment_visits_pinned_states():
         ):
             sphere_moment(p)
     info = moments._mono_moment.cache_info()
-    assert (info.hits, info.misses) == (64, 106)
-    assert moments._partner_pairing_sum.cache_info().misses == 8
+    assert (info.hits, info.misses) == (64, 108)
+    assert moments._partner_pairing_sum.cache_info().misses == 7
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_permuted_sites_match_oracle_from_a_cold_memo(n):
+    # a cold memo makes every value run its own eliminations, relabelled or
+    # not, so a wrong relabelling cannot hide behind a memoised state
+    rng = random.Random(40 + n)
+    for sites in range(2, moments.RELABEL_SITES + 1):
+        dims = MD(n, sites)
+        mono = random_even_monomial(rng, sites, 4)
+        expect = sphere_moment_oracle(mono, dims)
+        p = DotPolynomial(dims, SPHERE, [(mono, Fraction(1))])
+        for _ in range(3):
+            permuted = relabel(p, rng.sample(range(1, sites + 1), sites))
+            rotorlab.clear_caches()
+            assert sphere_moment(permuted) == expect, (n, permuted)
+
+
+def test_relabelling_a_relabelled_vector_is_the_identity():
+    rng = random.Random(9)
+    for sites in range(2, moments.RELABEL_SITES + 1):
+        for _ in range(25):
+            _, vec = moments._vector(random_even_monomial(rng, sites, 6))
+            degs, order = moments._site_order(vec)
+            identity = tuple(range(len(order)))
+            if order == identity:
+                continue
+            relabelled = moments._relabelling(order)(vec)
+            assert sorted(relabelled) == sorted(vec)
+            assert moments._site_order(relabelled) == ([degs[s] for s in order], identity)
+            assert moments._relabelling(identity)(relabelled) == relabelled
+
+
+def test_exponents_past_the_weight_table_are_relabelled_exactly():
+    # E[(s1.s2)^a (s2.s3)^b] = E[(s.e)^a] E[(s.e)^b], E[(s.e)^k] = (k-1)!! / radial_moment(n, k)
+    n = 3
+    dims = MD(n, 3)
+    line = lambda k: Fraction(math.prod(range(k - 1, 0, -2)), radial_moment(n, k))
+    for a, b in ((64, 70), (2, 100)):
+        for i, j, k in itertools.permutations((1, 2, 3)):
+            p = variable(dims, *sorted((i, j)), a) * variable(dims, *sorted((j, k)), b)
+            rotorlab.clear_caches()
+            assert sphere_moment(p) == line(a) * line(b), (a, b, i, j, k)
+
+
+def test_long_chain_counts_its_relabelled_frames():
+    # only states on at most RELABEL_SITES sites take the extra relabelling
+    # frame, so the 390-site chain stays inside the recursion budget
+    chain = tuple(((i, i + 1), 2) for i in range(1, 390))
+    rotorlab.clear_caches()
+    got = sphere_moment(DotPolynomial(MD(3, 390), SPHERE, [(chain, Fraction(1))]))
+    assert got == Fraction(1, 3 ** 389)
+    # 392 sites, 8 relabelled states and a pairing sum of depth 2 need 402 frames
+    chain = tuple(((i, i + 1), 2) for i in range(1, 392))
+    with pytest.raises(ResourceLimitError, match="392 sites of degree up to 4 needs about 402"):
+        sphere_moment(DotPolynomial(MD(3, 392), SPHERE, [(chain, Fraction(1))]))
 
 
 def test_many_sites_are_refused_before_their_vector_is_built():
