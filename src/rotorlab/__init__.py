@@ -26,8 +26,7 @@ _EXPORTS = {
     "griffiths": "GriffithsReport check_second random_cone_poly",
     "heat": "build_invariant_basis correlation_flow dirichlet grad_dot heat_evolve laplacian",
     "mc": "MCEstimate estimate_moment",
-    "moments": "eliminate_site interacting_moment radial_moment sphere_moment "
-               "sphere_moment_oracle",
+    "moments": "interacting_moment radial_moment sphere_moment sphere_moment_oracle",
     "numerics": "",
     "ratlin": "",
     "wick": "vector_moment",

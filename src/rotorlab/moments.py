@@ -18,9 +18,10 @@ vector it carries N = R * S, where S is the sphere moment and R the product
 of the radial moments of its site degrees.  N is the monomial's
 identity-covariance Gaussian moment, so it is an integer, and the terms of a
 polynomial are summed over one common denominator into a single
-``Fraction``.  ``eliminate_site``
-runs the same kernel, maps the children back through the monomial's site
-labels and divides by the radial moment once per monomial.
+``Fraction``.  Parity and recursion depth are checked once per monomial:
+eliminating a site changes each partner's degree by an even amount, never
+raises one and removes at least one site, and relabelling only permutes
+degrees, so no state below an even monomial is odd or needs more frames.
 ``sphere_moment_oracle`` computes the same quantity along an entirely
 different route (one global Isserlis sum over all sites at once, normalized
 by the per-site radial moments); the acceptance bundle uses it to
@@ -52,16 +53,14 @@ from .algebra import (
     ModelDims,
     Mono,
     Pair,
-    _add,
-    mono_mul,
     site_degrees,
 )
 from .errors import InputError, NumericError, ResourceLimitError
 
 MEMO_SIZE = 1 << 16
 """Entries kept by each moment memo.  The ``exact`` benchmark workload (seed 1)
-stores 15,634 elimination states: 4,520 eliminated, 7,507 answered by their
-relabelled vector and 3,607 of odd degree.  2^16 keeps every one of them."""
+stores 12,030 elimination states, none of odd degree: 4,520 eliminated, 7,507
+answered by their relabelled vector and 3 empty.  2^16 keeps every one of them."""
 
 RELABEL_SITES = 8
 """Elimination states on at most this many sites are relabelled into their
@@ -106,19 +105,19 @@ def _slot(a: int, b: int) -> int:
     return b * (b - 1) // 2 + a
 
 
-def _vector(mono: Mono) -> tuple[tuple[int, ...], Vec]:
-    """The monomial's sorted site labels and its exponent vector over them.
+def _vector(mono: Mono) -> Vec:
+    """The monomial's exponent vector over its sorted site labels.
 
     The vector grows as the square of the site count, so a monomial on more
     sites than any elimination can nest through is refused before it is built.
     """
-    sites = tuple(sorted({site for pair, _ in mono for site in pair}))
+    sites = sorted({site for pair, _ in mono for site in pair})
     wick.require_depth(len(sites), f"eliminating {len(sites)} sites")
     index = {s: k for k, s in enumerate(sites)}
     vec = [0] * _slot(0, len(sites))
     for (i, j), p in mono:
         vec[_slot(index[i], index[j])] = p
-    return sites, tuple(vec)
+    return tuple(vec)
 
 
 def _pair(slot: int) -> Pair:
@@ -131,16 +130,6 @@ def _pair(slot: int) -> Pair:
 _PAIRS = tuple(_pair(slot) for slot in range(_slot(0, RELABEL_SITES)))
 
 
-def _degrees(vec: Vec) -> list[int]:
-    """Per-site degrees of a non-empty exponent vector; every site is present."""
-    degs = [0] * _pair(len(vec))[1]  # K sites fill _slot(0, K) slots
-    for slot in compress(range(len(vec)), vec):
-        a, b = _pair(slot)
-        degs[a] += vec[slot]
-        degs[b] += vec[slot]
-    return degs
-
-
 def _weight(p: int) -> int:
     """One exponent's share of a site key: p, then -p^2, then -p^3, in 32-bit fields."""
     return (p << 64) - (p * p << 32) - p * p * p
@@ -150,9 +139,9 @@ def _weight(p: int) -> int:
 _WEIGHTS = tuple(map(_weight, range(64)))
 
 
-def _site_order(vec: Vec) -> tuple[list[int], tuple[int, ...]]:
-    """Per-site degrees of a non-empty exponent vector on at most
-    :data:`RELABEL_SITES` sites, and its sites sorted by their keys.
+def _site_order(vec: Vec) -> tuple[list[int], tuple[int, ...] | None]:
+    """Per-site degrees of a non-empty exponent vector and, on at most
+    :data:`RELABEL_SITES` sites, its sites sorted by their keys (else None).
 
     A site's key is its degree, then the sums of the squares and of the
     cubes of its exponents, the larger sums first.  Keys do not change when
@@ -161,17 +150,18 @@ def _site_order(vec: Vec) -> tuple[list[int], tuple[int, ...]]:
     the identity.  Exponents too large for the key's 32-bit fields change
     only which order is taken, never a moment.
     """
-    degs = [0] * _pair(len(vec))[1]
-    keys = degs.copy()
+    degs = [0] * _pair(len(vec))[1]  # K sites fill _slot(0, K) slots
+    keys = degs.copy() if len(vec) <= len(_PAIRS) else None
     for slot in compress(range(len(vec)), vec):
         p = vec[slot]
-        a, b = _PAIRS[slot]
+        a, b = _PAIRS[slot] if keys else _pair(slot)
         degs[a] += p
         degs[b] += p
-        key = _WEIGHTS[p] if p < len(_WEIGHTS) else _weight(p)
-        keys[a] += key
-        keys[b] += key
-    return degs, tuple(sorted(range(len(keys)), key=keys.__getitem__))
+        if keys:
+            key = _WEIGHTS[p] if p < len(_WEIGHTS) else _weight(p)
+            keys[a] += key
+            keys[b] += key
+    return degs, keys and tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 @lru_cache(maxsize=4096)
@@ -195,12 +185,11 @@ def _incidence(sites: int, k: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _compaction(sites: int, kept_mask: int) -> tuple[tuple[int, ...], bytes]:
-    """The sites in ``kept_mask``, ascending, and the selector of the slots of their pairs."""
+def _compaction(sites: int, kept_mask: int) -> bytes:
+    """The selector of the slots of the pairs of the sites in ``kept_mask``."""
     row = bytes(kept_mask >> s & 1 for s in range(sites))
-    kept = tuple(s for s in range(sites) if row[s])
     # slots b(b-1)/2 .. b(b-1)/2 + b - 1 hold the pairs (a, b), a < b
-    return kept, b"".join(row[:b] if row[b] else bytes(b) for b in range(sites))
+    return b"".join(row[:b] if row[b] else bytes(b) for b in range(sites))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -238,14 +227,14 @@ def _partner_pairing_sum(labels: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
     return tuple((slots, mask, mult) for slots, (mask, mult) in out.items())
 
 
-def _eliminate(vec: Vec, degs: list[int], k: int) -> list[tuple[Vec, tuple[int, ...], int]]:
+def _eliminate(vec: Vec, degs: list[int], k: int) -> list[tuple[Vec, int]]:
     """Integrate site k out of an exponent vector, up to the radial moment.
 
     ``degs`` are the vector's site degrees, and site k's is even and
-    positive.  Returns ``(child, kept, mult)`` terms: the partial integral is
+    positive.  Returns ``(child, mult)`` terms: the partial integral is
     sum(mult * child) / radial_moment(n, degs[k]), each child being the
-    exponent vector over the sites ``kept`` (old indices, ascending): every
-    site but k whose degree stays positive.
+    exponent vector over every site but k whose degree stays positive, in
+    their old order.
     """
     base = list(vec)
     labels: list[int] = []
@@ -262,57 +251,20 @@ def _eliminate(vec: Vec, degs: list[int], k: int) -> list[tuple[Vec, tuple[int, 
         child = base.copy()
         for slot in slots:
             child[slot] += 1
-        kept, selector = _compaction(len(degs), kept_mask | mask)
-        out.append((tuple(compress(child, selector)), kept, mult))
+        out.append((tuple(compress(child, _compaction(len(degs), kept_mask | mask))), mult))
     return out
-
-
-def eliminate_site(p: DotPolynomial, k: int) -> DotPolynomial:
-    """Exact partial integral of p over the spin at site k."""
-    if p.mode != SPHERE:
-        raise InputError("eliminate_site acts on sphere-mode polynomials")
-    if not (1 <= k <= p.dims.sites):
-        raise InputError(f"site {k} out of range 1..{p.dims.sites}")
-    table: dict[Mono, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        # only the pairs at site k are integrated; the rest multiplies each child
-        star = tuple(term for term in mono if k in term[0])
-        degree = sum(e for _, e in star)
-        if degree % 2:
-            continue
-        terms = [(mono, 1)]
-        if star:
-            wick.require_depth(degree // 2, f"pairing the {degree} partners of site {k}")
-            rest = tuple(term for term in mono if k not in term[0])
-            sites, vec = _vector(star)
-            terms = [
-                (mono_mul(rest, _relabel(child, [sites[s] for s in kept])), mult)
-                for child, kept, mult in _eliminate(vec, _degrees(vec), sites.index(k))
-            ]
-        scaled = coeff / radial_moment(p.dims.n, degree)
-        for new_mono, mult in terms:
-            _add(table, new_mono, scaled * mult)
-    return DotPolynomial._raw(p.dims, p.mode, table)
-
-
-def _relabel(vec: Vec, labels: list[int]) -> Mono:
-    """The monomial of an exponent vector whose site a carries ``labels[a]``."""
-    out = []
-    for slot in compress(range(len(vec)), vec):
-        a, b = _pair(slot)
-        out.append(((labels[a], labels[b]), vec[slot]))
-    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _mono_moment(vec: Vec, n: int) -> tuple[int, int]:
     """(N, R) with R = prod radial_moment(n, d_i) and N = R * sphere moment.
 
-    ``vec`` is the exponent vector of a monomial on all of its sites.  N is
-    the monomial's identity-covariance Gaussian moment, an integer, so
-    the elimination below runs in integers.  A child m' of m lowers every
-    site degree by an even amount, so R_rest // R(m') is exact, R_rest being
-    R without the eliminated site's factor.
+    ``vec`` is the exponent vector of a monomial on all of its sites; it
+    arrives with every site degree even and already depth-checked (see
+    :func:`sphere_moment`).  N is the monomial's identity-covariance Gaussian
+    moment, an integer, so the elimination below runs in integers.  A child
+    m' of m lowers every site degree by an even amount, so R_rest // R(m') is
+    exact, R_rest being R without the eliminated site's factor.
 
     The moment does not change when the sites are relabelled.  A vector on at
     most :data:`RELABEL_SITES` sites is answered by the vector relabelled in
@@ -322,16 +274,8 @@ def _mono_moment(vec: Vec, n: int) -> tuple[int, int]:
     """
     if not vec:
         return 1, 1
-    relabel = len(vec) <= len(_PAIRS)
-    degs, order = _site_order(vec) if relabel else (_degrees(vec), None)
-    if any(d % 2 for d in degs):
-        return 0, 1
-    # one frame per site still to eliminate, one more per relabelled state,
-    # plus the deepest pairing sum; site degrees never grow under elimination
-    top = max(degs)
-    frames = len(degs) + min(len(degs), RELABEL_SITES) + top // 2
-    wick.require_depth(frames, f"eliminating {len(degs)} sites of degree up to {top}")
-    if relabel and order != tuple(range(len(order))):
+    degs, order = _site_order(vec)
+    if order and order != tuple(range(len(order))):
         return _mono_moment(_relabelling(order)(vec), n)
     radial = 1
     for d in degs:
@@ -340,7 +284,7 @@ def _mono_moment(vec: Vec, n: int) -> tuple[int, int]:
     site = degs.index(min(degs))
     rest_radial = radial // radial_moment(n, degs[site])
     total = 0
-    for child, _, mult in _eliminate(vec, degs, site):
+    for child, mult in _eliminate(vec, degs, site):
         sub, sub_radial = _mono_moment(child, n)
         total += mult * (rest_radial // sub_radial) * sub
     return total, radial
@@ -350,13 +294,23 @@ def sphere_moment(p: DotPolynomial) -> Fraction:
     """Exact expectation of p under the product of normalized sphere measures.
 
     The terms c * N / R are summed in integers over one running denominator,
-    so one ``Fraction`` is built per polynomial.
+    so one ``Fraction`` is built per polynomial.  A monomial with a site of
+    odd degree is 0 and never reaches the memo.
     """
     if p.mode != SPHERE:
         raise InputError("sphere_moment acts on sphere-mode polynomials")
     num, den = 0, 1
     for mono, coeff in p.terms.items():
-        scaled, radial = _mono_moment(_vector(mono)[1], p.dims.n)
+        vec = _vector(mono)
+        degs = site_degrees(mono).values()
+        if any(d % 2 for d in degs):
+            continue
+        # one frame per site still to eliminate, one more per relabelled state,
+        # plus the deepest pairing sum
+        top = max(degs, default=0)
+        frames = len(degs) + min(len(degs), RELABEL_SITES) + top // 2
+        wick.require_depth(frames, f"eliminating {len(degs)} sites of degree up to {top}")
+        scaled, radial = _mono_moment(vec, p.dims.n)
         if scaled:
             term_den = coeff.denominator * radial
             common = math.lcm(den, term_den)

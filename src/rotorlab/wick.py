@@ -8,8 +8,9 @@ per-slot covariances allow it, and the surviving component deltas chain the
 factors into closed loops, each loop contributing one free component index
 (a factor n).  The implementation walks those loops directly: a chain is
 opened at the first remaining factor, extended one factor at a time, and
-closed against its starting end, so each matching is generated once and the
-loop count is known for free.  States repeat heavily, hence the memo.
+closed against its starting end, and closing one loop opens the next at the
+first factor left, so each matching is generated once and the loop count is
+known for free.  States repeat heavily, hence the memo.
 
 The walk runs in integers.  The covariance is scaled by D, the lcm of its
 entries' denominators; every term of the sum is a product of exactly one
@@ -60,41 +61,40 @@ def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
 
 
 @lru_cache(maxsize=MEMO_SLOTS)
-def _memo(scaled: IntMatrix, n: int) -> dict[tuple[tuple[Pair0, ...], Pair0 | None], int]:
+def _memo(scaled: IntMatrix, n: int) -> dict[tuple[tuple[Pair0, ...], Pair0], int]:
     """The chain memo of one (scaled covariance, n); the least recently used is dropped."""
     return {}
 
 
 def _chain_sum(
     remaining: tuple[Pair0, ...],
-    chain: Pair0 | None,
+    chain: Pair0,
     cov: IntMatrix,
     n: int,
-    memo: dict[tuple[tuple[Pair0, ...], Pair0 | None], int],
+    memo: dict[tuple[tuple[Pair0, ...], Pair0], int],
 ) -> int:
     key = (remaining, chain)
     found = memo.get(key)
     if found is not None:
         return found
-    # `remaining` is sorted, so remaining[0] is the designated loop opener;
-    # fixing its orientation prevents counting each loop in both directions.
-    if chain is None:
-        total = _chain_sum(remaining[1:], remaining[0], cov, n, memo) if remaining else 1
-    else:
-        p, q = chain
-        total = n * cov[p][q] * _chain_sum(remaining, None, cov, n, memo)
-        index = 0
-        while index < len(remaining):
-            a, b = remaining[index]
-            count = 1
-            while index + count < len(remaining) and remaining[index + count] == (a, b):
-                count += 1
-            rest = remaining[:index] + remaining[index + 1:]  # drop one copy, stays sorted
-            if cov[q][a]:
-                total += count * cov[q][a] * _chain_sum(rest, (p, b), cov, n, memo)
-            if cov[q][b]:
-                total += count * cov[q][b] * _chain_sum(rest, (p, a), cov, n, memo)
-            index += count
+    p, q = chain
+    # closing the loop opens the next one at remaining[0]: `remaining` is
+    # sorted, and fixing the opener's orientation counts each loop once
+    total = n * cov[p][q]
+    if remaining:
+        total *= _chain_sum(remaining[1:], remaining[0], cov, n, memo)
+    index = 0
+    while index < len(remaining):
+        a, b = remaining[index]
+        count = 1
+        while index + count < len(remaining) and remaining[index + count] == (a, b):
+            count += 1
+        rest = remaining[:index] + remaining[index + 1:]  # drop one copy, stays sorted
+        if cov[q][a]:
+            total += count * cov[q][a] * _chain_sum(rest, (p, b), cov, n, memo)
+        if cov[q][b]:
+            total += count * cov[q][b] * _chain_sum(rest, (p, a), cov, n, memo)
+        index += count
     memo[key] = total
     return total
 
@@ -110,6 +110,9 @@ def vector_moment(
     """
     require_factors(len(factors))
     scaled, denom = _scale_cov(cov)
+    if not factors:
+        return Fraction(1)
     # every term of the sum is a product of exactly one covariance entry per factor
-    total = _chain_sum(tuple(sorted(factors)), None, scaled, n, _memo(scaled, n))
+    remaining = tuple(sorted(factors))
+    total = _chain_sum(remaining[1:], remaining[0], scaled, n, _memo(scaled, n))
     return Fraction(total, denom ** len(factors))

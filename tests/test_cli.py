@@ -67,6 +67,15 @@ def ferro_file(tmp_path):
     return str(path)
 
 
+def chain_file(tmp_path, sites, last):
+    """u12^2 u23^2 ... u_{K-2,K-1}^2 u_{K-1,K}^last at n = 3, as one monomial."""
+    powers = [{"i": i, "j": i + 1, "p": 2} for i in range(1, sites - 1)]
+    path = tmp_path / f"chain{sites}_{last}.json"
+    path.write_text(json.dumps({"mode": "sphere", "n": 3, "N": sites, "terms": [
+        {"coeff": "1", "powers": powers + [{"i": sites - 1, "j": sites, "p": last}]}]}))
+    return str(path)
+
+
 def test_parse_grid():
     assert parse_grid("0:0.5:2") == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert parse_grid("1e-1,1e-2") == [0.1, 0.01]
@@ -271,6 +280,14 @@ def test_moment_too_deep_is_resource_error(tmp_path, capsys):
     assert "nested calls" in capsys.readouterr().err
 
 
+def test_odd_chain_is_zero_before_its_depth_is_checked(tmp_path, capsys):
+    # 395 sites fit the site-count limit, and the odd last site makes the
+    # moment 0 before the 405 frames of its elimination are counted
+    assert main(["moment", "--input", chain_file(tmp_path, 395, 1)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "0 (0.000000000000000)" and captured.err == ""
+
+
 def test_gaussian_moment_too_deep_is_resource_error(tmp_path, capsys, ferro_file):
     path = tmp_path / "deep.json"
     save_polynomial(variable(ModelDims(1, 2), 1, 2, 2000, mode=GAUSSIAN), str(path))
@@ -466,6 +483,11 @@ def test_gaussian_trotter_caps_total_steps(capsys, tmp_path, ferro_file):
     # with an empty coupling each order multiplies a growing factorial: 1.2 s at 20,000
     (["moment", "--input", "{u}", "--J", "{J}", "--order", "100000"],
      f"truncation order 100000 is above the cap of {MAX_ORDER}"),
+    # the site count is refused before the vector is built and before parity is looked at
+    (["moment", "--input", "{odd1000}"], "eliminating 1000 sites needs about 1000 nested calls"),
+    # 395 sites, 8 relabelled states and a pairing sum of depth 2
+    (["moment", "--input", "{even395}"],
+     "eliminating 395 sites of degree up to 4 needs about 405 nested calls"),
 ])
 def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferro_file,
                                                 argv, message):
@@ -483,7 +505,8 @@ def test_unbounded_loops_exit_3_before_starting(capsys, tmp_path, u12sq_n2, ferr
     empty = tmp_path / "J.json"
     empty.write_text(json.dumps({"terms": []}))
     names = {"{u}": u12sq_n2, "{wide}": str(wide), "{deep}": str(deep), "{F}": ferro_file,
-             "{many}": str(many), "{J}": str(empty)}
+             "{many}": str(many), "{J}": str(empty), "{odd1000}": chain_file(tmp_path, 1000, 1),
+             "{even395}": chain_file(tmp_path, 395, 2)}
     tracemalloc.start()
     try:
         assert main([names.get(a, a) for a in argv]) == 3

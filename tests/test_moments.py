@@ -15,19 +15,17 @@ from rotorlab.algebra import (
     DotPolynomial,
     ModelDims,
     ModelDims as MD,
-    constant,
     one,
     variable,
 )
 from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.moments import (
-    eliminate_site,
     interacting_moment,
     radial_moment,
     sphere_moment,
     sphere_moment_oracle,
 )
-from test_algebra import constant_term, is_constant, random_poly, relabel
+from test_algebra import random_poly, relabel
 
 
 def all_monomials(dims, max_degree):
@@ -70,31 +68,6 @@ def test_radial_moment_recurrence():
             assert radial_moment(n, d + 2) == (n + d) * radial_moment(n, d)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_eliminate_site_examples(n):
-    dims = MD(n, 3)
-    # symmetry: E (sigma . e)^2 = 1/n
-    got = eliminate_site(variable(dims, 1, 2, 2), 2)
-    assert got == constant(dims, Fraction(1, n))
-    # single pairing over mu_n(2) = n
-    got = eliminate_site(variable(dims, 1, 3) * variable(dims, 2, 3), 3)
-    assert got == Fraction(1, n) * variable(dims, 1, 2)
-    # Wick over partner multiset (2, 2, 3, 3)
-    got = eliminate_site(variable(dims, 1, 2, 2) * variable(dims, 1, 3, 2), 1)
-    expected = Fraction(1, n * (n + 2)) * (one(dims) + 2 * variable(dims, 2, 3, 2))
-    assert got == expected
-
-
-def test_eliminate_site_input_checks():
-    dims = MD(3, 2)
-    with pytest.raises(InputError):
-        eliminate_site(variable(dims, 1, 2), 5)
-    from rotorlab.algebra import GAUSSIAN
-
-    with pytest.raises(InputError):
-        eliminate_site(variable(dims, 1, 2, mode=GAUSSIAN), 1)
-
-
 def circle_moment_quadrature(expr):
     """Oracle for n=2: direct angular integral over independent circle spins."""
     val = quad(lambda t: expr(math.cos(t)), 0, 2 * math.pi)[0] / (2 * math.pi)
@@ -129,6 +102,8 @@ def test_sphere_moment_parity():
 
 
 def test_elimination_order_independence():
+    # every site order, each from a cold memo: a relabelling changes which
+    # site is eliminated first
     rng = random.Random(11)
     dims = MD(3, 4)
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
@@ -139,14 +114,11 @@ def test_elimination_order_independence():
             powers[pair] = powers.get(pair, 0) + 1
         p = DotPolynomial(dims, SPHERE, [(tuple(powers.items()), Fraction(1))])
         results = set()
-        for order in itertools.permutations(range(1, 5)):
-            q = p
-            for site in order:
-                q = eliminate_site(q, site)
-            assert is_constant(q)
-            results.add(constant_term(q))
+        for perm in itertools.permutations(range(1, 5)):
+            rotorlab.clear_caches()
+            results.add(sphere_moment(relabel(p, perm)))
         assert len(results) == 1
-        assert results == {sphere_moment(p)}
+        assert results == {sphere_moment_oracle(next(iter(p.terms)), dims)}
 
 
 def test_relabel_invariance():
@@ -184,21 +156,16 @@ def random_even_monomial(rng, sites, max_degree):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_integer_elimination_matches_oracle_and_iterated_sites(seed):
+def test_integer_elimination_matches_oracle(seed):
     # exercises the integer N / R bookkeeping on site degrees up to 8, where a
-    # wrong radial quotient would show against both independent routes
+    # wrong radial quotient would show against the independent route
     rng = random.Random(seed)
     for n in (2, 3, 4):
         for _ in range(3):
             dims = MD(n, rng.choice([4, 5]))
             mono = random_even_monomial(rng, dims.sites, 8)
             p = DotPolynomial(dims, SPHERE, [(mono, Fraction(1))])
-            exact = sphere_moment(p)
-            assert exact == sphere_moment_oracle(mono, dims), (n, mono)
-            q = p
-            for site in rng.sample(range(1, dims.sites + 1), dims.sites):
-                q = eliminate_site(q, site)
-            assert is_constant(q) and constant_term(q) == exact, (n, mono)
+            assert sphere_moment(p) == sphere_moment_oracle(mono, dims), (n, mono)
 
 
 def test_oracle_examples():
@@ -290,25 +257,8 @@ def test_interacting_rejects_non_cone():
 def test_vector_keeps_present_sites_in_order():
     # sites 2, 4, 5 become 0, 1, 2; slots run (0,1), (0,2), (1,2)
     m = next(iter((variable(MD(2, 5), 2, 4) * variable(MD(2, 5), 4, 5, 3)).terms))
-    assert moments._vector(m) == ((2, 4, 5), (1, 0, 3))
-    assert moments._vector(()) == ((), ())
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_eliminate_site_keeps_original_labels(n):
-    dims = MD(n, 5)
-    u = lambda i, j, p=1: variable(dims, i, j, p)
-    r2 = Fraction(1, n * (n + 2))
-    # a middle site: partners 1, 1, 5, 5; both drop out when they pair up
-    got = eliminate_site(u(1, 3, 2) * u(3, 5, 2) * u(2, 4, 2), 3)
-    assert got == r2 * (u(2, 4, 2) + 2 * u(1, 5, 2) * u(2, 4, 2))
-    # partner 2 loses its only pair, partner 4 keeps u45
-    got = eliminate_site(u(2, 3) * u(3, 4) * u(4, 5), 3)
-    assert got == Fraction(1, n) * u(2, 4) * u(4, 5)
-    # a site the monomial does not touch passes it through
-    assert eliminate_site(u(2, 4, 2), 3) == u(2, 4, 2)
-    # odd degree at the site integrates to zero, other terms survive
-    assert eliminate_site(u(1, 3) + u(2, 5, 2), 3) == u(2, 5, 2)
+    assert moments._vector(m) == (1, 0, 3)
+    assert moments._vector(()) == ()
 
 
 def vanishing_partner_shapes(sites):
@@ -336,7 +286,8 @@ def test_mono_moment_visits_pinned_states():
     # the memo's hits and misses count the elimination states, a relabelled
     # state counting twice (its own vector and the relabelled one); any change
     # to which children the kernel builds, how it keys them, or how it
-    # relabels them moves them
+    # relabels them moves them.  A monomial with an odd site degree is 0
+    # before it reaches the memo, so the odd terms of these powers count nothing
     rotorlab.clear_caches()
     for n in (2, 3):
         dims = MD(n, 5)
@@ -349,8 +300,19 @@ def test_mono_moment_visits_pinned_states():
         ):
             sphere_moment(p)
     info = moments._mono_moment.cache_info()
-    assert (info.hits, info.misses) == (64, 108)
+    assert (info.hits, info.misses) == (38, 22)
     assert moments._partner_pairing_sum.cache_info().misses == 7
+
+
+def test_odd_monomials_never_reach_the_memo():
+    dims = MD(3, 4)
+    u = lambda i, j, p=1: variable(dims, i, j, p)
+    # every term has a site of odd degree: u12 u23^2, u13^3 u24^2, u12 u23 u34
+    p = u(1, 2) * u(2, 3, 2) + 3 * u(1, 3, 3) * u(2, 4, 2) + u(1, 2) * u(2, 3) * u(3, 4)
+    rotorlab.clear_caches()
+    before = moments._mono_moment.cache_info()
+    assert sphere_moment(p) == 0
+    assert moments._mono_moment.cache_info() == before
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -373,7 +335,7 @@ def test_relabelling_a_relabelled_vector_is_the_identity():
     rng = random.Random(9)
     for sites in range(2, moments.RELABEL_SITES + 1):
         for _ in range(25):
-            _, vec = moments._vector(random_even_monomial(rng, sites, 6))
+            vec = moments._vector(random_even_monomial(rng, sites, 6))
             degs, order = moments._site_order(vec)
             identity = tuple(range(len(order)))
             if order == identity:
@@ -415,8 +377,3 @@ def test_many_sites_are_refused_before_their_vector_is_built():
     p = DotPolynomial(dims, SPHERE, [(chain, Fraction(1))])
     with pytest.raises(ResourceLimitError, match="eliminating 1000 sites"):
         sphere_moment(p)
-    # one site only pairs its partners 499 and 501, so this stays cheap
-    got = eliminate_site(p, 500)
-    rest = tuple(term for term in chain if 500 not in term[0])
-    bridge = tuple(sorted(rest + (((499, 501), 2),)))
-    assert got.terms == {rest: Fraction(1, 15), bridge: Fraction(2, 15)}

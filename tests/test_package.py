@@ -16,7 +16,7 @@ PUBLIC = """
     KernelSpec MCEstimate ModelDims NumericError ResourceLimitError SPHERE
     ViolationError algebra build_invariant_basis check_gaussian_griffiths check_second
     chernoff chernoff_table clear_caches constant
-    correlation_flow covariance dirichlet eliminate_site errors estimate_moment
+    correlation_flow covariance dirichlet errors estimate_moment
     ferro_from_rows funk_hecke_eigenvalue gaussian gaussian_laplacian gaussian_moment
     gegenbauer_coefficients generator_envelope grad_dot griffiths
     heat heat_evolve interacting_moment laplace_eigenvalue laplacian load_polynomial
