@@ -23,13 +23,18 @@ degree, the generator's matrix is Delta (the entries that lower it) plus
 -drift (the entries that keep it), so the subspace is closed under each
 factor and a Trotter step is two matrix-vector products.
 
-A :class:`FerroMatrix` is validated once, when it is built; the
-covariance F^{-1} comes from the same exact LDL^T factorization.
+A :class:`FerroMatrix` is validated once, when it is built, by its exact
+LDL^T pivots.  The covariance F^{-1} comes from one fraction-free (Bareiss)
+elimination of the integer matrix D F, and :func:`gaussian_moment` scales
+the covariance once per polynomial and sums each monomial's integer Isserlis
+total (:func:`wick.isserlis_total`) over one running denominator, so one
+``Fraction`` is built per polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
@@ -52,7 +57,7 @@ from .errors import InputError, ResourceLimitError, ViolationError
 from .griffiths import GriffithsReport, second_report
 from .heat import InvariantSubspace, _flat_laplacian_mono, _pair, check_time, close_basis
 from .numerics import expm
-from .wick import require_factors, vector_moment
+from .wick import _memo, _scale_cov, isserlis_total, require_factors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,14 +73,10 @@ class FerroMatrix:
     """Symmetric positive-definite coupling matrix with offdiag <= 0.
 
     Validated once, here: an invalid coupling matrix cannot be built.  The
-    exact LDL^T factors that prove it positive definite are kept in
-    ``factors`` (outside equality, hashing and repr) for the covariance.
+    exact LDL^T pivots prove it positive definite.
     """
 
     entries: ratlin.Matrix
-    factors: tuple[ratlin.Matrix, tuple[Fraction, ...]] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         m = self.entries
@@ -85,7 +86,7 @@ class FerroMatrix:
         symmetric = positive_definite = ratlin.is_symmetric(m)
         if symmetric:
             try:
-                object.__setattr__(self, "factors", ratlin.ldlt(m))
+                ratlin.ldlt(m)
             except InputError:  # some pivot, hence some leading minor, is <= 0
                 positive_definite = False
         if not symmetric:
@@ -127,15 +128,29 @@ def ferro_from_dict(data: object) -> FerroMatrix:
 
 
 def covariance(f: FerroMatrix) -> ratlin.Matrix:
-    """Exact F^{-1}; entrywise non-negative for every valid coupling matrix."""
-    inv = ratlin.inverse(*f.factors)
-    negative = [
-        (i, j) for i in range(len(inv)) for j in range(len(inv)) if inv[i][j] < 0
-    ]
+    """Exact F^{-1}; entrywise non-negative for every valid coupling matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I] with A = D F, D the lcm
+    of F's denominators: every division is exact, each pivot is a leading
+    principal minor of A (positive, F being positive definite), and the rows
+    end as [det(A) I | adj(A)], so F^{-1} = D adj(A) / det(A).
+    """
+    size = f.size
+    scaled, scale = _scale_cov(f.entries)
+    rows = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(scaled)]
+    previous = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[k]
+                rows[i] = [(pivot * x - factor * y) // previous for x, y in zip(row, pivot_row)]
+        previous = pivot
+    negative = [(i, j) for i in range(size) for j in range(size) if rows[i][size + j] < 0]
     if negative:
         # would contradict the M-matrix inverse-positivity fact
         raise ViolationError(f"covariance has negative entries at {negative}")
-    return inv
+    return tuple(tuple(Fraction(scale * x, previous) for x in row[size:]) for row in rows)
 
 
 def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:
@@ -144,14 +159,21 @@ def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:
         raise InputError("gaussian_moment acts on gaussian-mode polynomials")
     if len(cov) != p.dims.sites:
         raise InputError(f"covariance is {len(cov)}x{len(cov)} but N={p.dims.sites}")
-    total = Fraction(0)
+    scaled, denom = _scale_cov(cov)
+    memo = _memo(scaled, p.dims.n)
+    num, den = 0, 1
     for mono, coeff in p.terms.items():
-        require_factors(sum(power for _, power in mono))  # before the factor list is built
-        factors = []
-        for (i, j), power in mono:
-            factors.extend([(i - 1, j - 1)] * power)
-        total += coeff * vector_moment(factors, cov, p.dims.n)
-    return total
+        k = sum(power for _, power in mono)
+        require_factors(k)  # before the factor list is built
+        # a monomial lists its pairs sorted
+        pairs = (((i - 1, j - 1), power) for (i, j), power in mono)
+        total = isserlis_total(pairs, scaled, p.dims.n, memo)
+        if total:
+            term_den = coeff.denominator * denom ** k
+            common = math.lcm(den, term_den)
+            num = num * (common // den) + coeff.numerator * total * (common // term_den)
+            den = common
+    return Fraction(num, den)
 
 
 def check_gaussian_griffiths(

@@ -52,26 +52,6 @@ def ldlt(m: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     return tuple(tuple(row) for row in lower), tuple(diag)
 
 
-def inverse(lower: Matrix, diag: tuple[Fraction, ...]) -> Matrix:
-    """Exact M^{-1} = L^{-T} D^{-1} L^{-1} from the factors of M = L D L^T."""
-    size = len(lower)
-    # rows of L^{-1}, by forward substitution on the unit lower triangle
-    inv_lower: list[list[Fraction]] = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        row[i] = Fraction(1)
-        for j in range(i):
-            row[j] = -sum(lower[i][k] * inv_lower[k][j] for k in range(j, i))
-        inv_lower.append(row)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1):
-            out[i][j] = out[j][i] = sum(
-                inv_lower[k][i] * inv_lower[k][j] / diag[k] for k in range(i, size)
-            )
-    return tuple(tuple(row) for row in out)
-
-
 def cholesky_float(m: Matrix) -> list[list[float]]:
     """Float lower Cholesky factor via the exact LDL^T factorization."""
     lower, diag = ldlt(m)

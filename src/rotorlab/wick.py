@@ -15,8 +15,15 @@ known for free.  States repeat heavily, hence the memo.
 The walk runs in integers.  The covariance is scaled by D, the lcm of its
 entries' denominators; every term of the sum is a product of exactly one
 covariance entry per factor, so the integer total over k factors divided by
-D^k is the exact moment, and one ``Fraction`` is built per call.  Chain
-states are memoised per (scaled covariance, n), and only the
+D^k is the exact moment.  ``gaussian.gaussian_moment`` scales once per
+polynomial and walks each monomial through :func:`isserlis_total`.
+
+On an N x N covariance the factor (a, b) is the one int a * N + b, and so is
+a chain with start a and open end b.  A state is the sorted tuple of the
+factors left plus the chain.  How a tuple splits (the factor the chain takes
+next, its multiplicity, the factors left after it) does not depend on the
+covariance, so :func:`_splits` memoises it once for every covariance and n.
+State values are memoised per (scaled covariance, n), and only the
 :data:`MEMO_SLOTS` most recently used covariances keep their memo.
 """
 
@@ -25,12 +32,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import groupby
+from typing import Iterable, Sequence
 
-from .errors import ResourceLimitError
+from .errors import InputError, ResourceLimitError
 
 Pair0 = tuple[int, int]  # 0-based site pair
 IntMatrix = tuple[tuple[int, ...], ...]
+Codes = tuple[int, ...]  # sorted factor codes a * N + b
+Memo = dict[tuple[Codes, int], int]  # (factors left, chain code) -> scaled sum
 
 # The recursions here and in `moments` nest one Python frame per step.  They
 # stay within this many frames, which leaves most of the interpreter's
@@ -38,6 +48,9 @@ IntMatrix = tuple[tuple[int, ...], ...]
 RECURSION_BUDGET = 400
 # Chain memos are kept for this many (scaled covariance, n) keys.
 MEMO_SLOTS = 8
+# Split tables kept.  The most measured is 13,854 (`suite full`, 13 MB);
+# an `exact` run with its verification stores up to 2,700 (2.1 MB).
+SPLIT_SLOTS = 1 << 14
 
 
 def require_depth(frames: int, what: str) -> None:
@@ -61,42 +74,74 @@ def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
 
 
 @lru_cache(maxsize=MEMO_SLOTS)
-def _memo(scaled: IntMatrix, n: int) -> dict[tuple[tuple[Pair0, ...], Pair0], int]:
+def _memo(scaled: IntMatrix, n: int) -> Memo:
     """The chain memo of one (scaled covariance, n); the least recently used is dropped."""
     return {}
 
 
-def _chain_sum(
-    remaining: tuple[Pair0, ...],
-    chain: Pair0,
-    cov: IntMatrix,
-    n: int,
-    memo: dict[tuple[tuple[Pair0, ...], Pair0], int],
-) -> int:
-    key = (remaining, chain)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    p, q = chain
-    # closing the loop opens the next one at remaining[0]: `remaining` is
-    # sorted, and fixing the opener's orientation counts each loop once
+@lru_cache(maxsize=SPLIT_SLOTS)
+def _splits(remaining: Codes) -> tuple[int, Codes, tuple[tuple[int, int, Codes], ...]]:
+    """The first code, the codes after it, and (code, multiplicity, codes left
+    after dropping one copy) for each distinct code of a non-empty sorted tuple.
+
+    Shared by every covariance and n.  One entry holds O(distinct factors x k)
+    ints for k factors, so, as with ``moments._partner_pairing_sum``, the
+    entry bound alone does not bound its memory.
+    """
+    out = []
+    start = 0
+    for code, copies in groupby(remaining):
+        count = sum(1 for _ in copies)
+        out.append((code, count, remaining[:start] + remaining[start + 1:]))
+        start += count
+    return remaining[0], remaining[1:], tuple(out)
+
+
+def _chain_sum(state: tuple[Codes, int], cov: IntMatrix, n: int, memo: Memo) -> int:
+    """The scaled sum over the ways to close the chain and pair up the factors left."""
+    remaining, chain = state
+    width = len(cov)
+    p, q = divmod(chain, width)
     total = n * cov[p][q]
     if remaining:
-        total *= _chain_sum(remaining[1:], remaining[0], cov, n, memo)
-    index = 0
-    while index < len(remaining):
-        a, b = remaining[index]
-        count = 1
-        while index + count < len(remaining) and remaining[index + count] == (a, b):
-            count += 1
-        rest = remaining[:index] + remaining[index + 1:]  # drop one copy, stays sorted
-        if cov[q][a]:
-            total += count * cov[q][a] * _chain_sum(rest, (p, b), cov, n, memo)
-        if cov[q][b]:
-            total += count * cov[q][b] * _chain_sum(rest, (p, a), cov, n, memo)
-        index += count
-    memo[key] = total
+        head, tail, splits = _splits(remaining)
+        if total:
+            # closing the loop opens the next one at head: `remaining` is
+            # sorted, and fixing the opener's orientation counts each loop once
+            child = (tail, head)
+            found = memo.get(child)
+            total *= _chain_sum(child, cov, n, memo) if found is None else found
+        row, start = cov[q], p * width
+        for code, count, rest in splits:
+            a, b = divmod(code, width)
+            if row[a]:
+                child = (rest, start + b)
+                found = memo.get(child)
+                if found is None:
+                    found = _chain_sum(child, cov, n, memo)
+                total += count * row[a] * found
+            if row[b]:
+                child = (rest, start + a)
+                found = memo.get(child)
+                if found is None:
+                    found = _chain_sum(child, cov, n, memo)
+                total += count * row[b] * found
+    memo[state] = total
     return total
+
+
+def isserlis_total(
+    pairs: Iterable[tuple[Pair0, int]], scaled: IntMatrix, n: int, memo: Memo
+) -> int:
+    """D^k E prod (x_a . x_b) on the scaled covariance, over k factors given
+    as sorted 0-based site pairs (a, b) with their multiplicities."""
+    width = len(scaled)
+    codes: list[int] = []
+    for (a, b), power in pairs:
+        codes.extend([a * width + b] * power)  # b < width: sorted pairs give sorted codes
+    if not codes:
+        return 1
+    return _chain_sum((tuple(codes[1:]), codes[0]), scaled, n, memo)
 
 
 def vector_moment(
@@ -112,7 +157,10 @@ def vector_moment(
     scaled, denom = _scale_cov(cov)
     if not factors:
         return Fraction(1)
-    # every term of the sum is a product of exactly one covariance entry per factor
-    remaining = tuple(sorted(factors))
-    total = _chain_sum(remaining[1:], remaining[0], scaled, n, _memo(scaled, n))
-    return Fraction(total, denom ** len(factors))
+    width = len(scaled)
+    if not all(0 <= site < width for pair in factors for site in pair):
+        raise InputError(
+            f"factor sites must lie in 0..{width - 1} for a {width}x{width} covariance"
+        )
+    pairs = [(pair, 1) for pair in sorted(factors)]
+    return Fraction(isserlis_total(pairs, scaled, n, _memo(scaled, n)), denom ** len(factors))

@@ -35,7 +35,7 @@ def test_registry_lists_every_memo():
             if not name.startswith("__") and (hasattr(value, "cache_info") or isinstance(value, dict)):
                 found.setdefault(id(value), f"{info.name}.{name}")
     registered = {id(memo): name for name, memo in _memos()}
-    assert len(registered) == 8
+    assert len(registered) == 9
     assert [name for key, name in found.items() if key not in registered] == []
     assert found.keys() == registered.keys()
 
@@ -84,7 +84,7 @@ def test_wick_memo_keeps_a_fixed_number_of_covariances():
 def test_moment_memos_have_a_bound():
     for memo in (moments.radial_moment, moments._partner_pairing_sum, moments._mono_moment,
                  moments._incidence, moments._compaction, moments._relabelling,
-                 zonal.gegenbauer_coefficients):
+                 wick._splits, zonal.gegenbauer_coefficients):
         assert memo.cache_info().maxsize is not None, memo
     assert moments._mono_moment.cache_info().maxsize >= 1 << 16
 

@@ -133,6 +133,31 @@ def test_vector_moment_mixed_denominators(seed):
             assert vector_moment(factors, cov, n) == expect, factors
 
 
+def test_factor_codes_fit_every_site_of_a_large_covariance():
+    # a factor (a, b) is coded a * N + b on an N x N covariance; a code of
+    # fixed width 64 would read the pair (1, 69) as (2, 5)
+    size = 70
+    f = ferro_from_rows([[3 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(size)]
+                         for i in range(size)])
+    cov = covariance(f)
+    dims = ModelDims(2, size)
+    for factors in ([(0, 69), (0, 69)], [(0, 63), (63, 64), (64, 69), (0, 69)],
+                    [(0, 0), (63, 69), (64, 64), (1, 69)]):
+        expect = brute_force_vector_moment(factors, cov, 2)
+        assert vector_moment(factors, cov, 2) == expect, factors
+        p = one(dims, GAUSSIAN)
+        for a, b in factors:
+            p = p * variable(dims, a + 1, b + 1, mode=GAUSSIAN)
+        assert gaussian_moment(p, cov) == expect, factors
+
+
+def test_vector_moment_refuses_sites_outside_the_covariance():
+    cov = covariance(F2)
+    for factors in ([(0, 2)], [(-1, 0)], [(0, 1), (2, 2)]):
+        with pytest.raises(InputError, match="factor sites must lie in 0..1"):
+            vector_moment(factors, cov, 2)
+
+
 def test_vector_moment_radial_consistency():
     # E |x|^{2k} for one site with unit covariance must hit the radial moments
     for n in (2, 3, 5):
@@ -246,13 +271,45 @@ def test_covariance_is_the_exact_inverse():
             assert product == [[int(i == j) for j in range(size)] for i in range(size)]
 
 
-def test_ldlt_factors_are_kept_outside_equality_hash_and_repr():
+def ldlt_inverse(m):
+    """Oracle: M^{-1} = L^{-T} D^{-1} L^{-1} from the exact factors of M = L D L^T.
+
+    Independent of the Bareiss elimination in ``covariance``.
+    """
+    lower, diag = ratlin.ldlt(m)
+    size = len(lower)
+    # rows of L^{-1}, by forward substitution on the unit lower triangle
+    inv_lower = []
+    for i in range(size):
+        row = [Fraction(0)] * size
+        row[i] = Fraction(1)
+        for j in range(i):
+            row[j] = -sum(lower[i][k] * inv_lower[k][j] for k in range(j, i))
+        inv_lower.append(row)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            out[i][j] = out[j][i] = sum(
+                inv_lower[k][i] * inv_lower[k][j] / diag[k] for k in range(i, size)
+            )
+    return tuple(tuple(row) for row in out)
+
+
+def test_covariance_matches_the_ldlt_oracle():
+    for f in (F2, ferro_from_rows([[1, 0], [0, 1]]), ferro_from_rows([[3, 0], [0, "1/2"]])):
+        assert covariance(f) == ldlt_inverse(f.entries)
+    for size in range(1, 7):
+        for seed in range(6):
+            f = random_ferro(size, seed)
+            assert covariance(f) == ldlt_inverse(f.entries), (size, seed)
+
+
+def test_ferro_matrix_equality_hash_and_repr_see_only_entries():
     f = random_ferro(4, 3)
-    assert f.factors == ratlin.ldlt(f.entries)
     twin = FerroMatrix(f.entries)
     assert twin == f and hash(twin) == hash(f)
     assert repr(f) == f"FerroMatrix(entries={f.entries!r})"
-    assert covariance(f) == ratlin.inverse(*ratlin.ldlt(f.entries))
+    assert covariance(f) == ldlt_inverse(f.entries)
 
 
 def test_covariance_nonnegative_randomized():
