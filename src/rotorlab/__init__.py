@@ -41,8 +41,7 @@ __all__ = [*_MODULE_OF, "clear_caches"]
 _MEMOS = {
     "moments": "radial_moment _partner_pairing_sum _mono_moment _incidence _compaction "
                "_relabelling",
-    "wick": "_memo _splits",
-    "zonal": "gegenbauer_coefficients",
+    "wick": "_splits",
 }
 
 

@@ -27,8 +27,9 @@ A :class:`FerroMatrix` is validated once, when it is built, by its exact
 LDL^T pivots.  The covariance F^{-1} comes from one fraction-free (Bareiss)
 elimination of the integer matrix D F, and :func:`gaussian_moment` scales
 the covariance once per polynomial and sums each monomial's integer Isserlis
-total (:func:`wick.isserlis_total`) over one running denominator, so one
-``Fraction`` is built per polynomial.
+total (:func:`wick.isserlis_total`, on one chain memo that lives for the
+call) over one running denominator, so one ``Fraction`` is built per
+polynomial.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import InputError, ResourceLimitError, ViolationError
 from .griffiths import GriffithsReport, second_report
 from .heat import InvariantSubspace, _flat_laplacian_mono, _pair, check_time, close_basis
 from .numerics import expm
-from .wick import _memo, _scale_cov, isserlis_total, require_factors
+from .wick import Memo, _scale_cov, isserlis_total, require_factors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,7 +161,7 @@ def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:
     if len(cov) != p.dims.sites:
         raise InputError(f"covariance is {len(cov)}x{len(cov)} but N={p.dims.sites}")
     scaled, denom = _scale_cov(cov)
-    memo = _memo(scaled, p.dims.n)
+    memo: Memo = {}  # chain states, shared by the monomials of this call
     num, den = 0, 1
     for mono, coeff in p.terms.items():
         k = sum(power for _, power in mono)

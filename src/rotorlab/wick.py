@@ -23,8 +23,8 @@ a chain with start a and open end b.  A state is the sorted tuple of the
 factors left plus the chain.  How a tuple splits (the factor the chain takes
 next, its multiplicity, the factors left after it) does not depend on the
 covariance, so :func:`_splits` memoises it once for every covariance and n.
-State values are memoised per (scaled covariance, n), and only the
-:data:`MEMO_SLOTS` most recently used covariances keep their memo.
+State values are memoised in one dict per call, which
+``gaussian.gaussian_moment`` shares between a polynomial's monomials.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ Memo = dict[tuple[Codes, int], int]  # (factors left, chain code) -> scaled sum
 # stay within this many frames, which leaves most of the interpreter's
 # default limit of 1000 to their callers.
 RECURSION_BUDGET = 400
-# Chain memos are kept for this many (scaled covariance, n) keys.
-MEMO_SLOTS = 8
 # Split tables kept.  The most measured is 13,854 (`suite full`, 13 MB);
 # an `exact` run with its verification stores up to 2,700 (2.1 MB).
 SPLIT_SLOTS = 1 << 14
@@ -71,12 +69,6 @@ def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in cov]
     denom = math.lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
-
-
-@lru_cache(maxsize=MEMO_SLOTS)
-def _memo(scaled: IntMatrix, n: int) -> Memo:
-    """The chain memo of one (scaled covariance, n); the least recently used is dropped."""
-    return {}
 
 
 @lru_cache(maxsize=SPLIT_SLOTS)
@@ -163,4 +155,4 @@ def vector_moment(
             f"factor sites must lie in 0..{width - 1} for a {width}x{width} covariance"
         )
     pairs = [(pair, 1) for pair in sorted(factors)]
-    return Fraction(isserlis_total(pairs, scaled, n, _memo(scaled, n)), denom ** len(factors))
+    return Fraction(isserlis_total(pairs, scaled, n, {}), denom ** len(factors))

@@ -14,30 +14,23 @@ keeps the value at s = 1 pinned to 1 identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import InputError
 
 
-@lru_cache(maxsize=1024)
 def gegenbauer_coefficients(n: int, l: int) -> tuple[Fraction, ...]:
     """Exact coefficients of G_l(n, s) in s; index k is the s^k coefficient."""
     if n < 2 or l < 0:
         raise InputError(f"gegenbauer needs n >= 2 and l >= 0, got n={n}, l={l}")
+    prev, cur = (Fraction(1),), (Fraction(0), Fraction(1))  # G_0, G_1
     if l == 0:
-        return (Fraction(1),)
-    if l == 1:
-        return (Fraction(0), Fraction(1))
-    prev = gegenbauer_coefficients(n, l - 2) if l >= 2 else ()
-    cur = gegenbauer_coefficients(n, l - 1)
-    k = l - 1
-    shifted = (Fraction(0),) + cur  # s * G_{l-1}
-    out = []
-    for deg in range(l + 1):
-        a = shifted[deg] if deg < len(shifted) else Fraction(0)
-        b = prev[deg] if deg < len(prev) else Fraction(0)
-        out.append(((2 * k + n - 2) * a - k * b) / (k + n - 2))
-    return tuple(out)
+        return prev
+    for k in range(1, l):
+        # G_{k+1} from s * G_k (cur shifted up one degree) and G_{k-1}
+        prev, cur = cur, tuple(((2 * k + n - 2) * a - k * b) / (k + n - 2)
+                               for a, b in zip_longest((Fraction(0), *cur), prev, fillvalue=0))
+    return cur
 
 
 def laplace_eigenvalue(n: int, l: int) -> int:

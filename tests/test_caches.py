@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import rotorlab
-from rotorlab import moments, wick, zonal
+from rotorlab import moments, wick
 from rotorlab.algebra import GAUSSIAN, ModelDims, variable
 from rotorlab.gaussian import covariance, gaussian_moment, random_ferro
 from rotorlab.moments import sphere_moment
@@ -35,7 +35,7 @@ def test_registry_lists_every_memo():
             if not name.startswith("__") and (hasattr(value, "cache_info") or isinstance(value, dict)):
                 found.setdefault(id(value), f"{info.name}.{name}")
     registered = {id(memo): name for name, memo in _memos()}
-    assert len(registered) == 9
+    assert len(registered) == 7
     assert [name for key, name in found.items() if key not in registered] == []
     assert found.keys() == registered.keys()
 
@@ -45,7 +45,6 @@ def test_clear_caches_empties_every_memo():
     sphere_moment(variable(dims, 1, 2, 2) * variable(dims, 2, 3, 2))
     x13 = variable(ModelDims(2, 3), 1, 3, 2, mode=GAUSSIAN)
     gaussian_moment(x13, covariance(random_ferro(3, 1)))
-    zonal.gegenbauer_coefficients(3, 4)
     assert all(memo_sizes().values()), memo_sizes()
     rotorlab.clear_caches()
     assert not any(memo_sizes().values()), memo_sizes()
@@ -71,20 +70,10 @@ def test_clear_caches_loads_no_engine():
     ]
 
 
-def test_wick_memo_keeps_a_fixed_number_of_covariances():
-    rotorlab.clear_caches()
-    p = variable(ModelDims(2, 3), 1, 2, 2, mode=GAUSSIAN)
-    covs = {covariance(random_ferro(3, seed)) for seed in range(20)}
-    assert len(covs) == 20
-    for cov in covs:
-        gaussian_moment(p, cov)
-    assert wick._memo.cache_info().currsize == wick.MEMO_SLOTS
-
-
 def test_moment_memos_have_a_bound():
     for memo in (moments.radial_moment, moments._partner_pairing_sum, moments._mono_moment,
                  moments._incidence, moments._compaction, moments._relabelling,
-                 wick._splits, zonal.gegenbauer_coefficients):
+                 wick._splits):
         assert memo.cache_info().maxsize is not None, memo
     assert moments._mono_moment.cache_info().maxsize >= 1 << 16
 

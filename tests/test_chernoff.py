@@ -1,6 +1,8 @@
 """Kernel eigenvalues, Chernoff products, normalization asymptotics."""
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +122,35 @@ def test_gegenbauer_coefficients_exact():
     for n in (2, 3, 5):
         for l in range(7):
             assert sum(gegenbauer_coefficients(n, l)) == 1  # value at s = 1
+
+
+def gegenbauer_series(n, l):
+    """Exact coefficients of G_l(n, s) from the explicit sum for C_l^lam, lam = (n-2)/2
+    (DLMF 18.5.10), divided by lam so that n = 2 is covered, then by its value at s = 1."""
+    if l == 0:
+        return (Fraction(1),)
+    lam = Fraction(n - 2, 2)
+    coeffs = [Fraction(0)] * (l + 1)
+    for m in range(l // 2 + 1):
+        rising = math.prod((lam + j for j in range(1, l - m)), start=Fraction(1))  # (lam)_{l-m}/lam
+        coeffs[l - 2 * m] = (-1) ** m * rising * 2 ** (l - 2 * m) / (
+            math.factorial(m) * math.factorial(l - 2 * m))
+    at_one = sum(coeffs)
+    return tuple(c / at_one for c in coeffs)
+
+
+def test_gegenbauer_coefficients_match_the_explicit_sum_without_recursion():
+    for n in (2, 3, 5):
+        for l in range(41):
+            assert gegenbauer_coefficients(n, l) == gegenbauer_series(n, l), (n, l)
+    # the recurrence runs as a loop: degree 300 answers with 50 frames to spare
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        coeffs = gegenbauer_coefficients(3, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(coeffs) == 301 and sum(coeffs) == 1
 
 
 def test_kernel_spec_validation():
