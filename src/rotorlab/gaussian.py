@@ -23,13 +23,13 @@ degree, the generator's matrix is Delta (the entries that lower it) plus
 -drift (the entries that keep it), so the subspace is closed under each
 factor and a Trotter step is two matrix-vector products.
 
-A :class:`FerroMatrix` is validated once, when it is built, by its exact
-LDL^T pivots.  The covariance F^{-1} comes from one fraction-free (Bareiss)
-elimination of the integer matrix D F, and :func:`gaussian_moment` scales
-the covariance once per polynomial and sums each monomial's integer Isserlis
-total (:func:`wick.isserlis_total`, on one chain memo that lives for the
-call) over one running denominator, so one ``Fraction`` is built per
-polynomial.
+A :class:`FerroMatrix` is validated once, when it is built, by the pivots of
+one fraction-free (Bareiss) elimination of the integer matrix D F
+(:mod:`ratlin`), whose final rows give the covariance F^{-1}.
+:func:`gaussian_moment` scales the covariance once per polynomial
+(:func:`ratlin.scaled`) and sums each monomial's integer Isserlis total
+(:func:`wick.isserlis_total`, on one chain memo that lives for the call)
+over one running denominator, so one ``Fraction`` is built per polynomial.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .errors import InputError, ResourceLimitError, ViolationError
 from .griffiths import GriffithsReport, second_report
 from .heat import InvariantSubspace, _flat_laplacian_mono, _pair, check_time, close_basis
 from .numerics import expm
-from .wick import Memo, _scale_cov, isserlis_total, require_factors
+from .wick import Memo, isserlis_total, require_factors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,7 +74,7 @@ class FerroMatrix:
     """Symmetric positive-definite coupling matrix with offdiag <= 0.
 
     Validated once, here: an invalid coupling matrix cannot be built.  The
-    exact LDL^T pivots prove it positive definite.
+    pivots of :func:`ratlin.bareiss` (leading minors) prove it positive definite.
     """
 
     entries: ratlin.Matrix
@@ -87,8 +87,8 @@ class FerroMatrix:
         symmetric = positive_definite = ratlin.is_symmetric(m)
         if symmetric:
             try:
-                ratlin.ldlt(m)
-            except InputError:  # some pivot, hence some leading minor, is <= 0
+                ratlin.bareiss(ratlin.scaled(m)[0])
+            except InputError:  # some pivot, a leading minor, is <= 0
                 positive_definite = False
         if not symmetric:
             failures.append("matrix is not symmetric")
@@ -129,29 +129,16 @@ def ferro_from_dict(data: object) -> FerroMatrix:
 
 
 def covariance(f: FerroMatrix) -> ratlin.Matrix:
-    """Exact F^{-1}; entrywise non-negative for every valid coupling matrix.
-
-    Fraction-free Gauss-Jordan (Bareiss) on [A | I] with A = D F, D the lcm
-    of F's denominators: every division is exact, each pivot is a leading
-    principal minor of A (positive, F being positive definite), and the rows
-    end as [det(A) I | adj(A)], so F^{-1} = D adj(A) / det(A).
-    """
+    """Exact F^{-1} = D adj(A) / det(A), read off :func:`ratlin.bareiss` of
+    A = D F; entrywise non-negative for every valid coupling matrix."""
     size = f.size
-    scaled, scale = _scale_cov(f.entries)
-    rows = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(scaled)]
-    previous = 1
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                factor = row[k]
-                rows[i] = [(pivot * x - factor * y) // previous for x, y in zip(row, pivot_row)]
-        previous = pivot
+    scaled, scale = ratlin.scaled(f.entries)
+    pivots, _, rows = ratlin.bareiss(scaled)
     negative = [(i, j) for i in range(size) for j in range(size) if rows[i][size + j] < 0]
     if negative:
         # would contradict the M-matrix inverse-positivity fact
         raise ViolationError(f"covariance has negative entries at {negative}")
-    return tuple(tuple(Fraction(scale * x, previous) for x in row[size:]) for row in rows)
+    return tuple(tuple(Fraction(scale * x, pivots[-1]) for x in row[size:]) for row in rows)
 
 
 def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:
@@ -160,7 +147,7 @@ def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:
         raise InputError("gaussian_moment acts on gaussian-mode polynomials")
     if len(cov) != p.dims.sites:
         raise InputError(f"covariance is {len(cov)}x{len(cov)} but N={p.dims.sites}")
-    scaled, denom = _scale_cov(cov)
+    scaled, denom = ratlin.scaled(cov)
     memo: Memo = {}  # chain states, shared by the monomials of this call
     num, den = 0, 1
     for mono, coeff in p.terms.items():

@@ -13,10 +13,11 @@ first factor left, so each matching is generated once and the loop count is
 known for free.  States repeat heavily, hence the memo.
 
 The walk runs in integers.  The covariance is scaled by D, the lcm of its
-entries' denominators; every term of the sum is a product of exactly one
-covariance entry per factor, so the integer total over k factors divided by
-D^k is the exact moment.  ``gaussian.gaussian_moment`` scales once per
-polynomial and walks each monomial through :func:`isserlis_total`.
+entries' denominators (:func:`ratlin.scaled`, which also refuses a matrix
+that is not square or not symmetric); every term of the sum is a product of
+exactly one covariance entry per factor, so the integer total over k factors
+divided by D^k is the exact moment.  ``gaussian.gaussian_moment`` scales
+once per polynomial and walks each monomial through :func:`isserlis_total`.
 
 On an N x N covariance the factor (a, b) is the one int a * N + b, and so is
 a chain with start a and open end b.  A state is the sorted tuple of the
@@ -29,16 +30,15 @@ State values are memoised in one dict per call, which
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Sequence
 
+from . import ratlin
 from .errors import InputError, ResourceLimitError
 
 Pair0 = tuple[int, int]  # 0-based site pair
-IntMatrix = tuple[tuple[int, ...], ...]
 Codes = tuple[int, ...]  # sorted factor codes a * N + b
 Memo = dict[tuple[Codes, int], int]  # (factors left, chain code) -> scaled sum
 
@@ -64,13 +64,6 @@ def require_factors(count: int) -> None:
     require_depth(2 * count + 1, f"an Isserlis sum over {count} factors")
 
 
-def _scale_cov(cov: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
-    """Integer matrix D * cov and D, the lcm of the entries' denominators."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in cov]
-    denom = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
-
-
 @lru_cache(maxsize=SPLIT_SLOTS)
 def _splits(remaining: Codes) -> tuple[int, Codes, tuple[tuple[int, int, Codes], ...]]:
     """The first code, the codes after it, and (code, multiplicity, codes left
@@ -89,7 +82,7 @@ def _splits(remaining: Codes) -> tuple[int, Codes, tuple[tuple[int, int, Codes],
     return remaining[0], remaining[1:], tuple(out)
 
 
-def _chain_sum(state: tuple[Codes, int], cov: IntMatrix, n: int, memo: Memo) -> int:
+def _chain_sum(state: tuple[Codes, int], cov: ratlin.IntMatrix, n: int, memo: Memo) -> int:
     """The scaled sum over the ways to close the chain and pair up the factors left."""
     remaining, chain = state
     width = len(cov)
@@ -123,7 +116,7 @@ def _chain_sum(state: tuple[Codes, int], cov: IntMatrix, n: int, memo: Memo) -> 
 
 
 def isserlis_total(
-    pairs: Iterable[tuple[Pair0, int]], scaled: IntMatrix, n: int, memo: Memo
+    pairs: Iterable[tuple[Pair0, int]], scaled: ratlin.IntMatrix, n: int, memo: Memo
 ) -> int:
     """D^k E prod (x_a . x_b) on the scaled covariance, over k factors given
     as sorted 0-based site pairs (a, b) with their multiplicities."""
@@ -146,7 +139,7 @@ def vector_moment(
     ``factors`` lists 0-based site pairs with multiplicity.  Exact.
     """
     require_factors(len(factors))
-    scaled, denom = _scale_cov(cov)
+    scaled, denom = ratlin.scaled(cov)
     if not factors:
         return Fraction(1)
     width = len(scaled)

@@ -39,6 +39,7 @@ from rotorlab.gaussian import (
 )
 from rotorlab.griffiths import random_cone_poly
 from rotorlab.heat import _flat_laplacian_mono, _pair
+from rotorlab.mc import estimate_moment
 from rotorlab.moments import radial_moment
 from rotorlab.numerics import fitted_order
 from rotorlab.wick import vector_moment
@@ -271,12 +272,31 @@ def test_covariance_is_the_exact_inverse():
             assert product == [[int(i == j) for j in range(size)] for i in range(size)]
 
 
-def ldlt_inverse(m):
-    """Oracle: M^{-1} = L^{-T} D^{-1} L^{-1} from the exact factors of M = L D L^T.
+def ldlt(m):
+    """Oracle: M = L D L^T with unit lower-triangular L, in Fractions.
 
-    Independent of the Bareiss elimination in ``covariance``.
+    Reads only the lower triangle; raises InputError at a pivot <= 0.
+    Independent of the Bareiss elimination in ``ratlin``.
     """
-    lower, diag = ratlin.ldlt(m)
+    size = len(m)
+    lower = [[Fraction(0)] * size for _ in range(size)]
+    diag = [Fraction(0)] * size
+    for j in range(size):
+        acc = m[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        if acc <= 0:
+            raise InputError("matrix is not positive definite")
+        diag[j] = acc
+        lower[j][j] = Fraction(1)
+        for i in range(j + 1, size):
+            lower[i][j] = (
+                m[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            ) / diag[j]
+    return lower, diag
+
+
+def ldlt_inverse(m):
+    """Oracle: M^{-1} = L^{-T} D^{-1} L^{-1} from the exact factors of M = L D L^T."""
+    lower, diag = ldlt(m)
     size = len(lower)
     # rows of L^{-1}, by forward substitution on the unit lower triangle
     inv_lower = []
@@ -302,6 +322,33 @@ def test_covariance_matches_the_ldlt_oracle():
         for seed in range(6):
             f = random_ferro(size, seed)
             assert covariance(f) == ldlt_inverse(f.entries), (size, seed)
+
+
+def test_cholesky_float_is_the_rounded_ldlt_factor():
+    # Monte Carlo's Gaussian draws, and the recorded bits of test_mc, are
+    # built on these floats: one rounding of each exact factor
+    cases = [covariance(F2), F2.entries]
+    cases += [covariance(random_ferro(size, seed)) for size in range(1, 7) for seed in range(6)]
+    for m in cases:
+        lower, diag = ldlt(m)
+        expect = [[float(lower[i][j]) * float(diag[j]) ** 0.5 for j in range(len(m))]
+                  for i in range(len(m))]
+        assert repr(ratlin.cholesky_float(m)) == repr(expect), m
+
+
+@pytest.mark.parametrize("cov,message", [
+    ([[1, 0], [0]], "matrix must be square"),
+    ([[1, Fraction(1, 2)], [0, 1]], "matrix is not symmetric"),
+], ids=["ragged", "asymmetric"])
+@pytest.mark.parametrize("engine", [
+    lambda cov: gaussian_moment(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), cov),
+    lambda cov: vector_moment([(0, 1), (0, 1)], cov, 2),
+    lambda cov: estimate_moment(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), 1000, 1,
+                                covariance=cov),
+], ids=["gaussian_moment", "vector_moment", "estimate_moment"])
+def test_malformed_covariances_are_refused(engine, cov, message):
+    with pytest.raises(InputError, match=message):
+        engine(cov)
 
 
 def test_ferro_matrix_equality_hash_and_repr_see_only_entries():

@@ -58,7 +58,7 @@ def test_bare_import_loads_modules_on_first_access():
     before, after = _fresh(code).splitlines()
     assert before == "['rotorlab']"
     assert after == str(["rotorlab", "rotorlab.algebra", "rotorlab.chernoff", "rotorlab.errors",
-                         "rotorlab.moments", "rotorlab.wick", "rotorlab.zonal"])
+                         "rotorlab.moments", "rotorlab.ratlin", "rotorlab.wick", "rotorlab.zonal"])
 
 
 def test_star_import_binds_every_public_name():
