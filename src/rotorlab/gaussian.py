@@ -24,8 +24,8 @@ degree, the generator's matrix is Delta (the entries that lower it) plus
 factor and a Trotter step is two matrix-vector products.
 
 A :class:`FerroMatrix` is validated once, when it is built, by the pivots of
-one fraction-free (Bareiss) elimination of the integer matrix D F
-(:mod:`ratlin`), whose final rows give the covariance F^{-1}.
+the forward half of a fraction-free (Bareiss) elimination of D F
+(:mod:`ratlin`); :func:`covariance` runs both halves on [D F | I].
 :func:`gaussian_moment` scales the covariance once per polynomial
 (:func:`ratlin.scaled`) and sums each monomial's integer Isserlis total
 (:func:`wick.isserlis_total`, on one chain memo that lives for the call)
@@ -74,7 +74,7 @@ class FerroMatrix:
     """Symmetric positive-definite coupling matrix with offdiag <= 0.
 
     Validated once, here: an invalid coupling matrix cannot be built.  The
-    pivots of :func:`ratlin.bareiss` (leading minors) prove it positive definite.
+    pivots of :func:`ratlin.echelon` (leading minors) prove it positive definite.
     """
 
     entries: ratlin.Matrix
@@ -83,16 +83,10 @@ class FerroMatrix:
         m = self.entries
         if any(len(row) != len(m) for row in m):  # FerroMatrix(...) may bypass freeze
             raise InputError("matrix must be square")
-        failures = []
-        symmetric = positive_definite = ratlin.is_symmetric(m)
-        if symmetric:
-            try:
-                ratlin.bareiss(ratlin.scaled(m)[0])
-            except InputError:  # some pivot, a leading minor, is <= 0
-                positive_definite = False
-        if not symmetric:
-            failures.append("matrix is not symmetric")
-        if not positive_definite:
+        failures = [] if ratlin.is_symmetric(m) else ["matrix is not symmetric"]
+        try:
+            ratlin.echelon(ratlin.scaled(m)[0])
+        except InputError:  # scaled refuses an asymmetric m; or a pivot (minor) <= 0
             failures.append("matrix is not positive definite (some leading minor <= 0)")
         if any(m[i][j] > 0 for i in range(len(m)) for j in range(len(m)) if i != j):
             failures.append("some off-diagonal entry is positive (not ferromagnetic)")
@@ -129,16 +123,17 @@ def ferro_from_dict(data: object) -> FerroMatrix:
 
 
 def covariance(f: FerroMatrix) -> ratlin.Matrix:
-    """Exact F^{-1} = D adj(A) / det(A), read off :func:`ratlin.bareiss` of
-    A = D F; entrywise non-negative for every valid coupling matrix."""
+    """Exact F^{-1} = D adj(A) / det(A), from the rows [det(A) I | adj(A)] of
+    A = D F (:mod:`ratlin`); entrywise non-negative for every valid F."""
     size = f.size
     scaled, scale = ratlin.scaled(f.entries)
-    pivots, _, rows = ratlin.bareiss(scaled)
+    rows = ratlin.adjugate(ratlin.echelon([row + tuple(int(i == j) for j in range(size))
+                                           for i, row in enumerate(scaled)]))
     negative = [(i, j) for i in range(size) for j in range(size) if rows[i][size + j] < 0]
     if negative:
         # would contradict the M-matrix inverse-positivity fact
         raise ViolationError(f"covariance has negative entries at {negative}")
-    return tuple(tuple(Fraction(scale * x, pivots[-1]) for x in row[size:]) for row in rows)
+    return tuple(tuple(Fraction(scale * x, row[i]) for x in row[size:]) for i, row in enumerate(rows))
 
 
 def gaussian_moment(p: DotPolynomial, cov: ratlin.Matrix) -> Fraction:

@@ -1,9 +1,9 @@
 """Exact linear algebra for small symmetric matrices, with one elimination.
 
 :func:`scaled` gives the integer matrix D M (D the lcm of M's denominators)
-that :mod:`wick` walks and :func:`bareiss` eliminates.  Bareiss' pivots give
-the positive-definiteness verdict, the entries they clear the L D L^T
-(float Cholesky) factors, and its final rows the exact inverse.
+that :mod:`wick` walks and Bareiss' (1968) elimination reduces in two halves:
+the forward one (:func:`echelon`) gives the positive-definiteness verdict and
+the L D L^T (float Cholesky) factors, the back one (:func:`adjugate`) inverts.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ def freeze(rows: Sequence[Sequence[object]]) -> Matrix:
         out = tuple(tuple(frac(x) for x in row) for row in rows)
     except TypeError as exc:  # rows, or a row, that is not a list
         raise InputError("matrix must be a list of rows of rational entries") from exc
-    size = len(out)
-    if any(len(row) != size for row in out):
+    if any(len(row) != len(out) for row in out):
         raise InputError("matrix must be square")
     return out
 
@@ -46,36 +45,42 @@ def scaled(m: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
 
 
-def bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of [A | I], A square and integer.
-
-    Every division is exact.  Pivot k is the leading principal minor of order
-    k + 1, all positive for symmetric A exactly when A is positive definite
-    (Sylvester); a pivot <= 0 raises InputError.  Returns the pivots p, the
-    entries c_ik (i > k) that each pivot k cleared, so A = L D L^T with
-    L_ik = c_ik / p_k and D_k = p_k / p_{k-1}, and the rows [det(A) I | adj(A)].
-    """
-    size = len(a)
-    rows = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
-    pivots, cleared, previous = [], [], 1
+def echelon(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Forward half of Bareiss' fraction-free elimination of [A | B], A square,
+    symmetric and integer, B more columns (I for :func:`adjugate`): pivot k, the
+    diagonal of row k, clears the rows below it, dividing exactly by pivot k - 1.
+    Pivot k is the leading principal minor of order k + 1; one <= 0 (InputError)
+    means A is not positive definite (Sylvester).  By symmetry pivot k cleared
+    row k's upper triangle: A = L D L^T, L_ik = row_k[i] / p_k, D_k = p_k / p_{k-1}."""
+    rows = [list(row) for row in a]
+    previous = 1
     for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        if pivot <= 0:
+        if (pivot := pivot_row[k]) <= 0:
             raise InputError("matrix is not positive definite")
-        cleared.append([row[k] for row in rows[k + 1:]])
-        for i, row in enumerate(rows):
-            if i != k:
-                factor = row[k]
-                rows[i] = [(pivot * x - factor * y) // previous for x, y in zip(row, pivot_row)]
-        pivots.append(previous := pivot)
-    return pivots, cleared, rows
+        for i, row in enumerate(rows[k + 1:], k + 1):
+            rows[i] = [(pivot * x - row[k] * y) // previous for x, y in zip(row, pivot_row)]
+        previous = pivot
+    return rows
+
+
+def adjugate(rows: list[list[int]]) -> list[list[int]]:
+    """Back half: replay each echelon row k of [A | I] on the rows above it,
+    dividing exactly by the previous pivot; gives the rows [det(A) I | adj(A)]."""
+    out = []
+    for i, row in enumerate(rows):
+        for k in range(i + 1, len(rows)):
+            pivot, previous, factor = rows[k][k], rows[k - 1][k - 1], row[k]
+            row = [(pivot * x - factor * y) // previous for x, y in zip(row, rows[k])]
+        out.append(row)
+    return out
 
 
 def cholesky_float(m: Sequence[Sequence[object]]) -> list[list[float]]:
     """Float lower Cholesky factor L sqrt(D) of m = L D L^T, from the exact
-    factors of :func:`bareiss` on D' m (scale D'), one rounding per entry."""
+    factors of :func:`echelon` on D' m (scale D'), one rounding per entry."""
     a, scale = scaled(m)
-    pivots, cleared, _ = bareiss(a)
+    rows = echelon(a)
+    pivots = [row[k] for k, row in enumerate(rows)]
     roots = [float(Fraction(p, q * scale)) ** 0.5 for p, q in zip(pivots, [1] + pivots)]
-    return [[float(Fraction(cleared[j][i - j - 1], pivots[j])) * roots[j] for j in range(i)]
+    return [[float(Fraction(rows[j][i], pivots[j])) * roots[j] for j in range(i)]
             + [roots[i]] + [0.0] * (len(a) - i - 1) for i in range(len(a))]

@@ -159,6 +159,7 @@ def test_coupling_file_merges_both_orientations(tmp_path, capsys):
     ({"entries": [["1/0"]]}, 1),
     ({"N": 2, "entries": [[True, False], [False, True]]}, 2),
     ({"N": True, "entries": [["2"]]}, 1),
+    ({"entries": []}, 1),
 ])
 def test_malformed_matrix_is_input_error(tmp_path, capsys, data, sites):
     path = tmp_path / "x.json"
@@ -168,6 +169,8 @@ def test_malformed_matrix_is_input_error(tmp_path, capsys, data, sites):
     assert main(["gaussian", "moment", "--input", str(path), "--F", str(fp)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "input error" in captured.err
+    if data["entries"] == []:  # a valid 0x0 coupling, refused by the moment's size check
+        assert "input error: covariance is 0x0 but N=1" in captured.err
 
 
 INVALID_MATRICES = {

@@ -1,6 +1,7 @@
 """Ferromagnetic Gaussian spins: moments, positivity, OU generator, Trotter."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,9 +19,11 @@ from rotorlab.algebra import (
     constant,
     mono_mul,
     one,
+    save_polynomial,
     variable,
     zero,
 )
+from rotorlab.cli import main
 from rotorlab.errors import InputError, ResourceLimitError
 from rotorlab.gaussian import (
     FerroMatrix,
@@ -45,6 +48,16 @@ from rotorlab.numerics import fitted_order
 from rotorlab.wick import vector_moment
 
 F2 = ferro_from_rows([[2, -1], [-1, 2]])
+
+
+def mixed_ferro(size):
+    """4 on the diagonal, -1 on the neighbours, -1/(7+i+j) everywhere else:
+    mixed denominators, so D F has entries far wider than F's."""
+    return ferro_from_rows([[4 if i == j else -1 if abs(i - j) == 1 else Fraction(-1, 7 + i + j)
+                             for j in range(size)] for i in range(size)])
+
+
+MIXED = [mixed_ferro(size) for size in range(2, 11)]
 
 
 def pairings(labels):
@@ -260,6 +273,11 @@ def test_covariance_examples():
     assert covariance(diag) == ratlin.freeze([["1/3", 0], [0, 2]])
 
 
+def test_empty_coupling_has_an_empty_covariance_and_factor():
+    assert covariance(FerroMatrix(())) == ()
+    assert ratlin.cholesky_float([]) == []
+
+
 def test_covariance_is_the_exact_inverse():
     for size in range(1, 7):
         for seed in range(6):
@@ -322,6 +340,8 @@ def test_covariance_matches_the_ldlt_oracle():
         for seed in range(6):
             f = random_ferro(size, seed)
             assert covariance(f) == ldlt_inverse(f.entries), (size, seed)
+    for f in MIXED:
+        assert covariance(f) == ldlt_inverse(f.entries), f.size
 
 
 def test_cholesky_float_is_the_rounded_ldlt_factor():
@@ -329,11 +349,53 @@ def test_cholesky_float_is_the_rounded_ldlt_factor():
     # built on these floats: one rounding of each exact factor
     cases = [covariance(F2), F2.entries]
     cases += [covariance(random_ferro(size, seed)) for size in range(1, 7) for seed in range(6)]
+    cases += [m for f in MIXED for m in (f.entries, covariance(f))]
     for m in cases:
         lower, diag = ldlt(m)
         expect = [[float(lower[i][j]) * float(diag[j]) ** 0.5 for j in range(len(m))]
                   for i in range(len(m))]
         assert repr(ratlin.cholesky_float(m)) == repr(expect), m
+
+
+def test_echelon_holds_the_leading_minors_and_the_ldlt_factors():
+    # pivot k is the leading principal minor of order k + 1, and the entries
+    # it cleared, row k's upper triangle, are p_k L_ik
+    cases = [random_ferro(size, seed).entries for size in range(1, 7) for seed in range(3)]
+    cases += [f.entries for f in MIXED if f.size <= 7]
+    for m in cases:
+        a, _ = ratlin.scaled(m)
+        rows = ratlin.echelon(a)
+        lower, _ = ldlt(m)
+        for k in range(len(m)):
+            assert rows[k][k] == _leibniz_det([row[:k + 1] for row in a[:k + 1]]), (m, k)
+            assert [rows[k][i] for i in range(k + 1, len(m))] == [
+                rows[k][k] * lower[i][k] for i in range(k + 1, len(m))], (m, k)
+
+
+def test_validation_and_cholesky_run_the_forward_half_only(monkeypatch, tmp_path, capsys):
+    def refuse(rows):
+        raise AssertionError("the back half of the elimination ran")
+
+    monkeypatch.setattr(ratlin, "adjugate", refuse)
+    f = mixed_ferro(6)
+    assert len(ratlin.cholesky_float(f.entries)) == 6
+    path = str(tmp_path / "x12.json")
+    save_polynomial(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), path)
+    fp = tmp_path / "F.json"
+    fp.write_text(json.dumps(F2.to_dict()))
+    argv = ["gaussian", "trotter", "--input", path, "--t", "1.0", "--m", "4", "--F", str(fp)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("m,max_error,min_intermediate_coeff")
+
+
+def test_covariance_runs_one_elimination(monkeypatch):
+    f = mixed_ferro(5)
+    calls = []
+    for name in ("echelon", "adjugate"):
+        half = getattr(ratlin, name)
+        monkeypatch.setattr(ratlin, name, lambda x, name=name, half=half: calls.append(name) or half(x))
+    assert covariance(f) == ldlt_inverse(f.entries)
+    assert calls == ["echelon", "adjugate"]
 
 
 @pytest.mark.parametrize("cov,message", [
