@@ -2,10 +2,19 @@
 
 Sampling is sharded with a counter-based generator (Philox keyed by
 (seed, shard index)), so an estimate is a deterministic function of
-(seed, samples) alone: shards could be farmed out to any number of workers
-and the partial sums still combine in fixed shard order to bit-identical
-results.  Gaussian spins are drawn through the float Cholesky factor of the
-exact rational covariance, converted once.
+(seed, samples) alone, whichever thread draws a shard.  Shards run
+concurrently in windows of W = min(shards, usable CPUs,
+``heat.DENSE_BYTES_BUDGET`` // one shard's bytes): the calling thread runs
+the first shard of each window and W - 1 pool threads the rest (numpy's
+draws and ufuncs release the GIL), and the partial sums are collected and
+combined in shard order, so the estimate is bit-identical for every W.
+The usable CPUs are those of ``os.sched_getaffinity(0)`` where it exists
+(Linux) and ``os.cpu_count()`` elsewhere.  With W = 1 (one CPU, one shard,
+or a budget below two shards) every shard runs on the caller and no thread
+starts.  Each shard sets its own ``np.errstate``: the setting is
+context-local, and a pool thread does not inherit the caller's.  Gaussian
+spins are drawn through the float Cholesky factor of the exact rational
+covariance, converted once, before the first shard.
 
 The Philox draws define the replay, so the shard kernels only trim the numpy
 work around them, and keep every estimate bit-identical by keeping the
@@ -24,6 +33,7 @@ kept.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -61,15 +71,15 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sphere_batch(dims, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, sites, n) uniform unit spins, bit for bit ``raw / np.linalg.norm(raw, axis=2)``."""
+def _sphere_batch(raw: np.ndarray) -> np.ndarray:
+    """(count, sites, n) uniform unit spins from the normal draws ``raw``, normalised
+    in place, bit for bit ``raw / np.linalg.norm(raw, axis=2)``."""
     import numpy as np
 
-    raw = rng.standard_normal((count, dims.sites, dims.n))
     sq = raw * raw
-    if dims.n < 8:
+    if raw.shape[2] < 8:
         norm = sq[..., 0].copy()
-        for k in range(1, dims.n):
+        for k in range(1, raw.shape[2]):
             norm += sq[..., k]
     else:
         norm = np.add.reduce(sq, axis=2)
@@ -78,15 +88,15 @@ def _sphere_batch(dims, rng: np.random.Generator, count: int) -> np.ndarray:
     return raw
 
 
-def _gaussian_batch(dims, chol: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, sites, n) spins ``chol @ raw`` per sample, bit for bit ``einsum``'s.
+def _gaussian_batch(chol: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """(count, sites, n) spins ``chol @ raw`` per sample of the normal draws ``raw``,
+    bit for bit ``einsum``'s.
 
     From n = 2 the array is a site-major view.
     """
     import numpy as np
 
-    raw = rng.standard_normal((count, dims.sites, dims.n))
-    if dims.n == 1:
+    if raw.shape[2] == 1:
         return np.einsum("ij,sjc->sic", chol, raw)
     r = raw.transpose(1, 0, 2)
     out = np.empty(r.shape)
@@ -137,12 +147,15 @@ def estimate_moment(
     std(w (p - mean) / avg(w)) / sqrt(samples).  ResourceLimitError above
     MAX_SAMPLES, or when a shard's spin arrays would take more than
     ``heat.DENSE_BYTES_BUDGET``, before the first shard; NumericError when a
-    shard's sample sums leave the float range.
+    shard's sample sums leave the float range, naming the first such shard.
+    Every thread that runs a shard has ended when this returns or raises.
     """
     if samples < 1000:
         raise InputError(f"need at least 1000 samples, got {samples}")
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     if p.mode == GAUSSIAN:
@@ -167,35 +180,39 @@ def estimate_moment(
             f"{need >> 20} MiB, above the budget of {DENSE_BYTES_BUDGET >> 20} MiB"
         )
 
-    shard_stats: list[tuple[float, ...]] = []
-    done = 0
-    shard = 0
-    while done < samples:
-        count = min(SHARD_SIZE, samples - done)
-        rng = _shard_rng(seed, shard)
-        if p.mode == GAUSSIAN:
-            spins = _gaussian_batch(p.dims, chol, rng, count)
-        else:
-            spins = _sphere_batch(p.dims, rng, count)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+    def run_shard(shard: int) -> tuple[float, ...]:
+        raw = np.empty((min(SHARD_SIZE, samples - shard * SHARD_SIZE), p.dims.sites, p.dims.n))
+        _shard_rng(seed, shard).standard_normal(out=raw)
+        spins = _gaussian_batch(chol, raw) if p.mode == GAUSSIAN else _sphere_batch(raw)
+        # per shard, as a pool thread starts from numpy's defaults; a non-finite sum is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
             values = _evaluate_poly(p, spins)
             if exponent is None:
-                stats: tuple[float, ...] = (float(values.sum()), float((values * values).sum()))
-            else:
-                weights = np.exp(_evaluate_poly(exponent, spins))
-                wp = weights * values
-                stats = (
-                    float(weights.sum()),
-                    float(wp.sum()),
-                    float((weights * weights).sum()),
-                    float((weights * wp).sum()),
-                    float((wp * wp).sum()),
-                )
-        if not all(map(math.isfinite, stats)):
-            raise NumericError(f"the sample sums of shard {shard} leave the float range")
-        shard_stats.append(stats)
-        done += count
-        shard += 1
+                return float(values.sum()), float((values * values).sum())
+            weights = np.exp(_evaluate_poly(exponent, spins))
+            wp = weights * values
+            return (
+                float(weights.sum()),
+                float(wp.sum()),
+                float((weights * weights).sum()),
+                float((weights * wp).sum()),
+                float((wp * wp).sum()),
+            )
+
+    # windows of `width` shards: the caller runs the first, pool threads the rest
+    shards = -(-samples // SHARD_SIZE)
+    # sched_getaffinity exists on Linux only; elsewhere every CPU counts
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    width = min(shards, cpus, DENSE_BYTES_BUDGET // need)
+    shard_stats: list[tuple[float, ...]] = []
+    with ThreadPoolExecutor(max(width - 1, 1)) as pool:  # starts no thread when width is 1
+        for first in range(0, shards, width):
+            rest = [pool.submit(run_shard, k) for k in range(first + 1, min(first + width, shards))]
+            window = [run_shard(first), *(f.result() for f in rest)]
+            for shard, stats in enumerate(window, first):
+                if not all(map(math.isfinite, stats)):
+                    raise NumericError(f"the sample sums of shard {shard} leave the float range")
+                shard_stats.append(stats)
 
     if exponent is None:
         total = math.fsum(s[0] for s in shard_stats)

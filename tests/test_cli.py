@@ -642,6 +642,8 @@ def test_basis_cap_flag_is_gone(capsys, tmp_path, u12sq_n2, ferro_file, argv):
     # e^1000 leaves the float range: the exact value's tail bound refuses before any shard
     (["mc", "--input", "{u}", "--J", "{J1000}", "--samples", "2000"],
      "coupling sum 1000 and truncation order 8 exceeds the float range"),
+    # two shards: on more than one CPU shard 1 overflows on a pool thread
+    (["mc", "--input", "{u300}", "--samples", "40000"], "sample sums of shard 0 leave the float"),
 ])
 def test_float_overflow_exits_3_without_warnings(capsys, tmp_path, u12sq_n2, ferro_file,
                                                  huge_coeff, argv, message):

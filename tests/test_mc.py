@@ -1,14 +1,17 @@
 """Monte Carlo oracle: reproducibility and agreement with the exact engines."""
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rotorlab import mc
-from rotorlab.algebra import GAUSSIAN, SPHERE, ModelDims, one, variable
-from rotorlab.errors import InputError
+from rotorlab import heat, mc
+from rotorlab.algebra import GAUSSIAN, SPHERE, Coupling, DotPolynomial, ModelDims, one, variable
+from rotorlab.errors import InputError, NumericError, ResourceLimitError
 from rotorlab.gaussian import covariance, ferro_from_rows
 from rotorlab.mc import MCEstimate, estimate_moment
 from rotorlab.moments import interacting_moment, sphere_moment
@@ -137,26 +140,41 @@ def test_constant_polynomial_zero_stderr():
     assert est.sigmas_from(1.0) == math.inf
 
 
+def _hook_draws(monkeypatch, hook):
+    """Call hook(shard, out) on each shard's normal draws once Philox has filled them."""
+    shard_rng = mc._shard_rng
+
+    class HookedRng:
+        def __init__(self, seed, shard):
+            self.rng, self.shard = shard_rng(seed, shard), shard
+
+        def standard_normal(self, *, out):
+            self.rng.standard_normal(out=out)
+            hook(self.shard, out)
+            return out
+
+    monkeypatch.setattr(mc, "_shard_rng", HookedRng)
+
+
 def test_shard_boundaries_do_not_change_results(monkeypatch):
     # estimates at sizes spanning shard boundaries stay consistent: the value
     # for k shards is a prefix property, so re-running with more samples must
-    # reuse the identical leading shards
+    # reuse the identical leading shards.  Shards may run on pool threads in
+    # any order, so each draw is recorded under its shard index.
     drawn = []
-    sphere_batch = mc._sphere_batch
 
-    def recording(dims, rng, count):
-        spins = sphere_batch(dims, rng, count)
-        drawn[-1].append(spins.copy())
-        return spins
+    def record(shard, out):
+        drawn[-1][shard] = out.copy()
 
-    monkeypatch.setattr(mc, "_sphere_batch", recording)
+    _hook_draws(monkeypatch, record)
     dims = ModelDims(2, 2)
     p = variable(dims, 1, 2, 2)
-    drawn.append([])
+    drawn.append({})
     small = estimate_moment(p, 40_000, seed=9)
-    drawn.append([])
+    drawn.append({})
     large = estimate_moment(p, 80_000, seed=9)
-    (small0, small1), (large0, large1, _) = drawn
+    assert sorted(drawn[0]) == [0, 1] and sorted(drawn[1]) == [0, 1, 2]
+    (small0, small1), (large0, large1) = ((d[0], d[1]) for d in drawn)
     assert small0.shape == (mc.SHARD_SIZE, 2, 2) and small1.shape == (7_232, 2, 2)
     assert np.array_equal(small0, large0)
     assert np.array_equal(small1, large1[:7_232])
@@ -192,7 +210,9 @@ def _ferro_covariance(sites):
 # shard kernels replaced.  Sphere n = 2..9 covers both summation orders of
 # the norm (in order below 8 components, pairwise from 8); gaussian n = 1
 # keeps einsum, n >= 2 takes the site-major transform.  50,000 and 70,000
-# samples end in a partial shard; 32,768 is exactly one shard.
+# samples end in a partial shard; 32,768 is exactly one shard.  200,000
+# samples are seven shards, so on any CPU count above one the estimate runs
+# windows on pool threads and its last window is partial.
 RECORDED_BITS = {
     ("sphere", 2, 2, 50000): ("0x1.0060b1321b4c2p-1", "0x1.b38c182cbb128p-10"),
     ("sphere", 2, 3, 50000): ("0x1.0015718519ed4p+0", "0x1.2b840cb9a326cp-9"),
@@ -230,11 +250,13 @@ RECORDED_BITS = {
     ("weighted", 3, 3, 50000): ("0x1.5a53977525aaep-1", "0x1.06af28ad492b2p-9"),
     ("sphere", 3, 3, 32768): ("0x1.559ec5ad3b3f7p-1", "0x1.3734e8f5e88d4p-9"),
     ("gaussian", 2, 3, 70000): ("0x1.783b6153b8d84p+0", "0x1.f9745013ac529p-7"),
+    ("sphere", 3, 3, 200000): ("0x1.54fc4a1c34f96p-1", "0x1.f4ac61f179f1cp-11"),
+    ("weighted", 3, 3, 200000): ("0x1.581acf00295a3p-1", "0x1.049e5bcdf3c4cp-10"),
+    ("gaussian", 2, 3, 200000): ("0x1.743f2ea8c607bp+0", "0x1.29122c0adda7dp-7"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(RECORDED_BITS), ids=lambda c: "-".join(map(str, c)))
-def test_estimates_match_recorded_bits(case):
+def _recorded_estimate(case):
     kind, n, sites, samples = case
     dims = ModelDims(n, sites)
     seed = 1000 * n + 10 * sites + samples % 7
@@ -246,7 +268,120 @@ def test_estimates_match_recorded_bits(case):
                               coupling={(1, 2): Fraction(3, 10), (2, 3): Fraction(1, 5)})
     else:
         est = estimate_moment(_chain(dims, SPHERE), samples, seed)
-    assert (est.mean.hex(), est.stderr.hex()) == RECORDED_BITS[case]
+    return est.mean.hex(), est.stderr.hex()
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_BITS), ids=lambda c: "-".join(map(str, c)))
+def test_estimates_match_recorded_bits(case):
+    assert _recorded_estimate(case) == RECORDED_BITS[case]
+
+
+def test_no_shard_thread_outlives_the_estimate():
+    before = set(threading.enumerate())
+    case = ("weighted", 3, 3, 200000)
+    assert _recorded_estimate(case) == RECORDED_BITS[case]
+    assert set(threading.enumerate()) == before
+    # every shard of 10^300 u12 overflows; shard 0, the caller's, is reported
+    with pytest.raises(NumericError, match="shard 0 leave"):
+        estimate_moment(10 ** 300 * variable(ModelDims(2, 2), 1, 2), 200_000, seed=1)
+    assert set(threading.enumerate()) == before
+
+
+def test_byte_budget_bounds_the_window(monkeypatch):
+    # a shard of 3 spins in R^3 needs 2 * 8 * 32768 * 9 bytes: a budget below
+    # two shards runs them one at a time on the caller, to the same bits
+    case = ("sphere", 3, 3, 200000)
+    need = 2 * 8 * mc.SHARD_SIZE * 3 * 3
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pool thread was asked to run a shard")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", no_thread)
+    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 2 * need - 1)
+    assert _recorded_estimate(case) == RECORDED_BITS[case]
+
+    def no_sampling(*args):
+        raise AssertionError("sampled a shard above the byte budget")
+
+    monkeypatch.setattr(mc, "_shard_rng", no_sampling)
+    monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError, match="above the budget"):
+        _recorded_estimate(case)
+
+
+@pytest.mark.parametrize("source, cpus", [("affinity", 3), ("affinity", 5), ("affinity", 8),
+                                           ("cpu_count", 4), ("cpu_count", None)])
+def test_windows_of_any_width_give_the_recorded_bits(monkeypatch, source, cpus):
+    # 200,000 samples are 7 shards: 3 CPUs run windows of 3 + 3 + 1 shards, 4
+    # run 4 + 3, 5 run 5 + 2 and 8 one window of 7.  Without sched_getaffinity
+    # the width follows os.cpu_count(), and a count of None runs every shard
+    # on the caller.  Pool threads run every shard but the first of a window.
+    widths, submitted = [], []
+    init, submit = ThreadPoolExecutor.__init__, ThreadPoolExecutor.submit
+
+    def spy_init(self, max_workers, *args, **kwargs):
+        widths.append(max_workers)
+        init(self, max_workers, *args, **kwargs)
+
+    def spy_submit(self, fn, shard):
+        submitted.append(shard)
+        return submit(self, fn, shard)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy_init)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy_submit)
+    if source == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    width = min(7, cpus or 1)
+    for case in sorted(c for c in RECORDED_BITS if c[3] == 200000):
+        widths.clear()
+        submitted.clear()
+        assert _recorded_estimate(case) == RECORDED_BITS[case]
+        assert widths == [max(width - 1, 1)]
+        assert sorted(submitted) == [k for k in range(7) if k % width]
+
+
+@pytest.mark.parametrize("cpus, first", [(None, 1), (5, 2)])
+def test_numeric_error_names_the_first_overflowing_shard(monkeypatch, cpus, first):
+    # from shard `first` on the draws are scaled by 1e200, so x1 x2 overflows
+    # there only; that shard is named whichever thread ran it.  On 5 CPUs
+    # shards 2, 3 and 4 all overflow on pool threads of the first window.
+    def scale(shard, out):
+        if shard >= first:
+            out *= 1e200
+
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _hook_draws(monkeypatch, scale)
+    p = variable(ModelDims(1, 2), 1, 2, mode=GAUSSIAN)
+    with pytest.raises(NumericError, match=f"shard {first} leave"):
+        estimate_moment(p, 200_000, seed=3, covariance=_ferro_covariance(2))
+
+
+def test_traced_functions_run_before_the_first_shard(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so the functions it wraps
+    # that an estimate calls (Coupling.exponent, cholesky_float, polynomial
+    # products) must all run on the caller before any shard starts
+    events = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Coupling, "exponent", record("traced", Coupling.exponent))
+    monkeypatch.setattr(mc.ratlin, "cholesky_float", record("traced", mc.ratlin.cholesky_float))
+    monkeypatch.setattr(DotPolynomial, "__mul__", record("traced", DotPolynomial.__mul__))
+    monkeypatch.setattr(DotPolynomial, "__rmul__", record("traced", DotPolynomial.__rmul__))
+    monkeypatch.setattr(mc, "_shard_rng", record("shard", mc._shard_rng))
+    for case in (("weighted", 3, 3, 200000), ("gaussian", 2, 3, 200000)):
+        events.clear()
+        assert _recorded_estimate(case) == RECORDED_BITS[case]
+        assert events.count("shard") == 7
+        assert "traced" not in events[events.index("shard"):]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -255,13 +390,15 @@ def test_shard_kernels_match_reference_transforms(n):
     # raw / np.linalg.norm(raw) and einsum("ij,sjc->sic", chol, raw)
     count = 5_000
     for sites in range(1, 6):
-        dims = ModelDims(n, sites)
         raw = mc._shard_rng(n, sites).standard_normal((count, sites, n))
+        filled = np.empty_like(raw)
+        mc._shard_rng(n, sites).standard_normal(out=filled)
+        assert filled.tobytes() == raw.tobytes()
         if n >= 2:
-            spins = mc._sphere_batch(dims, mc._shard_rng(n, sites), count)
+            spins = mc._sphere_batch(raw.copy())
             reference = raw / np.linalg.norm(raw, axis=2, keepdims=True)
             assert spins.tobytes() == reference.tobytes()
         chol = np.array(cholesky_float(_ferro_covariance(sites)))
-        spins = mc._gaussian_batch(dims, chol, mc._shard_rng(n, sites), count)
+        spins = mc._gaussian_batch(chol, raw)
         reference = np.einsum("ij,sjc->sic", chol, raw)
         assert np.ascontiguousarray(spins).tobytes() == reference.tobytes()
