@@ -2,19 +2,20 @@
 
 Sampling is sharded with a counter-based generator (Philox keyed by
 (seed, shard index)), so an estimate is a deterministic function of
-(seed, samples) alone, whichever thread draws a shard.  Shards run
-concurrently in windows of W = min(shards, usable CPUs,
-``heat.DENSE_BYTES_BUDGET`` // one shard's bytes): the calling thread runs
-the first shard of each window and W - 1 pool threads the rest (numpy's
-draws and ufuncs release the GIL), and the partial sums are collected and
-combined in shard order, so the estimate is bit-identical for every W.
-The usable CPUs are those of ``os.sched_getaffinity(0)`` where it exists
-(Linux) and ``os.cpu_count()`` elsewhere.  With W = 1 (one CPU, one shard,
-or a budget below two shards) every shard runs on the caller and no thread
-starts.  Each shard sets its own ``np.errstate``: the setting is
-context-local, and a pool thread does not inherit the caller's.  Gaussian
-spins are drawn through the float Cholesky factor of the exact rational
-covariance, converted once, before the first shard.
+(seed, samples) alone, whichever thread draws a shard.  Shards run in
+windows of W = min(shards, usable CPUs, ``heat.DENSE_BYTES_BUDGET`` // one
+shard's bytes), concurrently, as numpy's draws and ufuncs release the GIL.
+The caller draws a window's first shard in ``CHUNK_SIZE``-row slices of one
+Philox stream, byte for byte one draw, while W - 1 pool threads draw and
+evaluate the other shards whole; then every thread of the window evaluates
+the first shard's drawn slices (a draw cannot be split: the ziggurat takes
+a data-dependent number of Philox words).  Each shard is summed over its
+whole arrays, in shard order, so the bits hold for every W.  Usable CPUs
+are ``os.sched_getaffinity(0)``'s (Linux), else ``os.cpu_count()``; W = 1
+starts no thread.  Each evaluation sets its own ``np.errstate``, which a
+pool thread does not inherit.  Gaussian spins are drawn through the float
+Cholesky factor of the exact rational covariance, converted once, before
+the first shard.
 
 The Philox draws define the replay, so the shard kernels only trim the numpy
 work around them, and keep every estimate bit-identical by keeping the
@@ -45,6 +46,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 SHARD_SIZE = 1 << 15
+CHUNK_SIZE = 1 << 12  # rows per slice of a window's first shard, the unit its threads claim
 MAX_SAMPLES = 1 << 25
 """Largest sample count :func:`estimate_moment` accepts: 1024 shards.  The
 suite's largest estimate is a 4x retry of 10^6 samples."""
@@ -155,6 +157,7 @@ def estimate_moment(
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
     from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
     import numpy as np
 
@@ -180,26 +183,40 @@ def estimate_moment(
             f"{need >> 20} MiB, above the budget of {DENSE_BYTES_BUDGET >> 20} MiB"
         )
 
-    def run_shard(shard: int) -> tuple[float, ...]:
-        raw = np.empty((min(SHARD_SIZE, samples - shard * SHARD_SIZE), p.dims.sites, p.dims.n))
-        _shard_rng(seed, shard).standard_normal(out=raw)
-        spins = _gaussian_batch(chol, raw) if p.mode == GAUSSIAN else _sphere_batch(raw)
-        # per shard, as a pool thread starts from numpy's defaults; a non-finite sum is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _evaluate_poly(p, spins)
-            if exponent is None:
-                return float(values.sum()), float((values * values).sum())
-            weights = np.exp(_evaluate_poly(exponent, spins))
-            wp = weights * values
-            return (
-                float(weights.sum()),
-                float(wp.sum()),
-                float((weights * weights).sum()),
-                float((weights * wp).sum()),
-                float((wp * wp).sum()),
-            )
+    def arrays(shard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        count = min(SHARD_SIZE, samples - shard * SHARD_SIZE)
+        raw = np.empty((count, p.dims.sites, p.dims.n))
+        return raw, np.empty(count), None if exponent is None else np.empty(count)
 
-    # windows of `width` shards: the caller runs the first, pool threads the rest
+    def evaluate(raw, values, weights, rows: slice = slice(None)) -> None:
+        # per call, as a pool thread starts from numpy's defaults; a non-finite sum is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            spins = _gaussian_batch(chol, raw[rows]) if p.mode == GAUSSIAN else _sphere_batch(raw[rows])
+            values[rows] = _evaluate_poly(p, spins)
+            if weights is not None:
+                weights[rows] = np.exp(_evaluate_poly(exponent, spins))
+
+    def sums(values, weights) -> tuple[float, ...]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if weights is None:
+                return float(values.sum()), float((values * values).sum())
+            wp = weights * values
+            return tuple(float(a.sum()) for a in (weights, wp, weights * weights, weights * wp, wp * wp))
+
+    def help_head() -> None:
+        """Evaluate the first shard's slices as they are drawn, up to an end mark or an abort."""
+        while (rows := todo.get()) is not None and not aborted:
+            evaluate(*head, rows)
+
+    def run_shard(shard: int) -> tuple[float, ...]:
+        """A pool thread's own shard, whole; then it helps evaluate the window's first."""
+        own = arrays(shard)
+        _shard_rng(seed, shard).standard_normal(out=own[0])
+        evaluate(*own)
+        help_head()
+        return sums(*own[1:])
+
+    # the caller draws each window's first shard in slices; pool threads run the rest, then help
     shards = -(-samples // SHARD_SIZE)
     # sched_getaffinity exists on Linux only; elsewhere every CPU counts
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -207,9 +224,22 @@ def estimate_moment(
     shard_stats: list[tuple[float, ...]] = []
     with ThreadPoolExecutor(max(width - 1, 1)) as pool:  # starts no thread when width is 1
         for first in range(0, shards, width):
+            head, todo, aborted = arrays(first), SimpleQueue(), False
             rest = [pool.submit(run_shard, k) for k in range(first + 1, min(first + width, shards))]
-            window = [run_shard(first), *(f.result() for f in rest)]
-            for shard, stats in enumerate(window, first):
+            rng = _shard_rng(seed, first)
+            try:
+                for lo in range(0, len(head[0]), CHUNK_SIZE):
+                    rng.standard_normal(out=head[0][lo:lo + CHUNK_SIZE])
+                    todo.put(slice(lo, lo + CHUNK_SIZE))
+            except BaseException:
+                aborted = True  # helpers drop the slices still queued
+                raise
+            finally:  # one end mark per thread of the window, so none waits for a slice never drawn
+                for _ in range(len(rest) + 1):
+                    todo.put(None)
+            help_head()
+            pooled = [f.result() for f in rest]  # a helper returns once its claimed slices are evaluated
+            for shard, stats in enumerate([sums(*head[1:]), *pooled], first):
                 if not all(map(math.isfinite, stats)):
                     raise NumericError(f"the sample sums of shard {shard} leave the float range")
                 shard_stats.append(stats)

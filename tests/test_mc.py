@@ -2,7 +2,9 @@
 
 import math
 import os
+import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -141,7 +143,8 @@ def test_constant_polynomial_zero_stderr():
 
 
 def _hook_draws(monkeypatch, hook):
-    """Call hook(shard, out) on each shard's normal draws once Philox has filled them."""
+    """Call hook(shard, out) on each normal draw once Philox has filled it: a pool
+    shard is one draw, a window's first shard one draw per CHUNK_SIZE slice."""
     shard_rng = mc._shard_rng
 
     class HookedRng:
@@ -160,11 +163,12 @@ def test_shard_boundaries_do_not_change_results(monkeypatch):
     # estimates at sizes spanning shard boundaries stay consistent: the value
     # for k shards is a prefix property, so re-running with more samples must
     # reuse the identical leading shards.  Shards may run on pool threads in
-    # any order, so each draw is recorded under its shard index.
+    # any order, so each draw is recorded under its shard index, and a shard
+    # drawn in slices is rebuilt by joining its slices in order.
     drawn = []
 
     def record(shard, out):
-        drawn[-1][shard] = out.copy()
+        drawn[-1].setdefault(shard, []).append(out.copy())
 
     _hook_draws(monkeypatch, record)
     dims = ModelDims(2, 2)
@@ -173,6 +177,7 @@ def test_shard_boundaries_do_not_change_results(monkeypatch):
     small = estimate_moment(p, 40_000, seed=9)
     drawn.append({})
     large = estimate_moment(p, 80_000, seed=9)
+    drawn = [{shard: np.concatenate(parts) for shard, parts in d.items()} for d in drawn]
     assert sorted(drawn[0]) == [0, 1] and sorted(drawn[1]) == [0, 1, 2]
     (small0, small1), (large0, large1) = ((d[0], d[1]) for d in drawn)
     assert small0.shape == (mc.SHARD_SIZE, 2, 2) and small1.shape == (7_232, 2, 2)
@@ -287,6 +292,18 @@ def test_no_shard_thread_outlives_the_estimate():
     assert set(threading.enumerate()) == before
 
 
+def _spy_evaluations(monkeypatch):
+    """Record (thread ident, rows) of every _evaluate_poly call, in call order."""
+    evaluated, evaluate_poly = [], mc._evaluate_poly
+
+    def spy(p, spins):
+        evaluated.append((threading.get_ident(), spins.shape[0]))
+        return evaluate_poly(p, spins)
+
+    monkeypatch.setattr(mc, "_evaluate_poly", spy)
+    return evaluated
+
+
 def test_byte_budget_bounds_the_window(monkeypatch):
     # a shard of 3 spins in R^3 needs 2 * 8 * 32768 * 9 bytes: a budget below
     # two shards runs them one at a time on the caller, to the same bits
@@ -298,7 +315,11 @@ def test_byte_budget_bounds_the_window(monkeypatch):
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", no_thread)
     monkeypatch.setattr(heat, "DENSE_BYTES_BUDGET", 2 * need - 1)
+    evaluated = _spy_evaluations(monkeypatch)
     assert _recorded_estimate(case) == RECORDED_BITS[case]
+    # six shards of 8 slices and a last one of 3,392 rows, all evaluated by the caller
+    assert [rows for ident, rows in evaluated] == [mc.CHUNK_SIZE] * 48 + [3_392]
+    assert {ident for ident, rows in evaluated} == {threading.get_ident()}
 
     def no_sampling(*args):
         raise AssertionError("sampled a shard above the byte budget")
@@ -360,6 +381,133 @@ def test_numeric_error_names_the_first_overflowing_shard(monkeypatch, cpus, firs
         estimate_moment(p, 200_000, seed=3, covariance=_ferro_covariance(2))
 
 
+def _hold_shard_0_until_helped(monkeypatch, seconds=10.0):
+    """On 2 CPUs, hold each draw of a slice of shard 0 after its first until a pool
+    thread has evaluated a slice of shard 0 (at most `seconds`).  At 50,000 samples
+    the pool thread runs shard 1, 17,232 rows, so a call of at most CHUNK_SIZE rows
+    off the thread that draws shard 0 is a slice of shard 0.  Returns the event
+    that marks the help and that test of a call's spins."""
+    caller, helped = [], threading.Event()
+    evaluate_poly = mc._evaluate_poly
+
+    def helping(spins):
+        return threading.get_ident() not in caller and spins.shape[0] <= mc.CHUNK_SIZE
+
+    def spy(p, spins):
+        if helping(spins):
+            helped.set()
+        return evaluate_poly(p, spins)
+
+    def hold(shard, out):
+        if shard == 0:
+            caller.append(threading.get_ident())
+            if len(caller) > 1:
+                helped.wait(seconds)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(mc, "_evaluate_poly", spy)
+    _hook_draws(monkeypatch, hold)
+    return helped, helping
+
+
+def test_pool_threads_help_evaluate_the_first_shard(monkeypatch):
+    # while the caller draws shard 0 in slices, the pool thread that ran shard 1
+    # evaluates some of them; the estimate keeps its recorded bits
+    helped, _ = _hold_shard_0_until_helped(monkeypatch)
+    evaluated = _spy_evaluations(monkeypatch)
+    case = ("sphere", 3, 3, 50000)
+    assert _recorded_estimate(case) == RECORDED_BITS[case]
+    assert helped.is_set()
+    caller = threading.get_ident()
+    on_pool = [rows for ident, rows in evaluated if ident != caller]
+    assert on_pool[0] == 50_000 - mc.SHARD_SIZE and 1 <= len(on_pool[1:]) <= 8
+    assert all(rows == mc.CHUNK_SIZE for rows in on_pool[1:])
+    assert len(evaluated) == 9
+
+
+def _run_with_timeout(fn, seconds=60.0):
+    """fn() on a daemon thread: its result or exception, asserting it ended in time."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except BaseException as exc:  # noqa: BLE001 - handed back to the test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the estimate hung"
+    return outcome[0]
+
+
+def test_a_failed_draw_releases_the_helpers(monkeypatch):
+    # a draw that fails on shard 0's second slice, while the pool thread waits
+    # for that slice, ends the estimate with its error: no hang, no stray thread
+    before = set(threading.enumerate())
+    helped, _ = _hold_shard_0_until_helped(monkeypatch)
+    draws = []
+
+    def fail_second_slice(shard, out):
+        if shard == 0:
+            draws.append(out.shape[0])
+            if len(draws) == 2:
+                raise RuntimeError("draw failed")
+
+    _hook_draws(monkeypatch, fail_second_slice)
+    p = _chain(ModelDims(3, 3), SPHERE)
+    error = _run_with_timeout(lambda: estimate_moment(p, 50_000, seed=1))
+    assert isinstance(error, RuntimeError) and str(error) == "draw failed"
+    assert draws == [mc.CHUNK_SIZE] * 2 and helped.is_set()
+    assert set(threading.enumerate()) == before
+
+
+def test_overflow_in_helped_slices_names_shard_0(monkeypatch):
+    # only the slices of shard 0 that the pool thread evaluates are scaled by
+    # 1e300, so only their squares overflow; shard 0 is named, with no warning
+    before = set(threading.enumerate())
+    helped, helping = _hold_shard_0_until_helped(monkeypatch)
+    evaluate_poly = mc._evaluate_poly
+
+    def overflow_on_pool(p, spins):
+        values = evaluate_poly(p, spins)
+        if helping(spins):
+            values *= 1e300
+        return values
+
+    monkeypatch.setattr(mc, "_evaluate_poly", overflow_on_pool)
+    p = _chain(ModelDims(3, 3), SPHERE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = _run_with_timeout(lambda: estimate_moment(p, 50_000, seed=1))
+    assert isinstance(error, NumericError) and "shard 0 leave" in str(error)
+    assert helped.is_set()
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("chunk", [1_000, 4_096, mc.SHARD_SIZE])
+def test_slice_size_does_not_change_the_bits(monkeypatch, chunk):
+    monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
+    for case in sorted(c for c in RECORDED_BITS if c[3] in (50000, 200000)):
+        assert _recorded_estimate(case) == RECORDED_BITS[case]
+
+
+def test_many_helpers_under_fast_switching_keep_the_bits(monkeypatch):
+    # 8 CPUs run a window of 7 shards, whose 6 pool threads share the 33
+    # slices of shard 0 through one queue; with the interpreter switching
+    # threads every 10 us, a slice evaluated twice or never changes the bits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 1_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for case in sorted(c for c in RECORDED_BITS if c[3] == 200000):
+            assert _run_with_timeout(lambda: _recorded_estimate(case)) == RECORDED_BITS[case]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_traced_functions_run_before_the_first_shard(monkeypatch):
     # the benchmark's tracer keeps one span stack, so the functions it wraps
     # that an estimate calls (Coupling.exponent, cholesky_float, polynomial
@@ -387,9 +535,18 @@ def test_traced_functions_run_before_the_first_shard(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_shard_kernels_match_reference_transforms(n):
     # spin by spin, the kernels reproduce the transforms they replaced:
-    # raw / np.linalg.norm(raw) and einsum("ij,sjc->sic", chol, raw)
+    # raw / np.linalg.norm(raw) and einsum("ij,sjc->sic", chol, raw).  Draws
+    # into CHUNK_SIZE slices continue one Philox stream, byte for byte one
+    # draw, at the shard sizes of 50,000 samples and the 3,392-row last shard
+    # of 200,000 (one partial slice).
     count = 5_000
     for sites in range(1, 6):
+        for rows in (32_768, 17_232, 3_392):
+            whole = mc._shard_rng(n, sites).standard_normal((rows, sites, n))
+            sliced, rng = np.empty_like(whole), mc._shard_rng(n, sites)
+            for lo in range(0, rows, mc.CHUNK_SIZE):
+                rng.standard_normal(out=sliced[lo:lo + mc.CHUNK_SIZE])
+            assert sliced.tobytes() == whole.tobytes()
         raw = mc._shard_rng(n, sites).standard_normal((count, sites, n))
         filled = np.empty_like(raw)
         mc._shard_rng(n, sites).standard_normal(out=filled)
