@@ -6,10 +6,11 @@ Sampling is sharded with a counter-based generator (Philox keyed by
 windows of W = min(shards, usable CPUs, ``heat.DENSE_BYTES_BUDGET`` // one
 shard's bytes), concurrently, as numpy's draws and ufuncs release the GIL.
 The caller draws a window's first shard in ``CHUNK_SIZE``-row slices of one
-Philox stream, byte for byte one draw, while W - 1 pool threads draw and
-evaluate the other shards whole; then every thread of the window evaluates
-the first shard's drawn slices (a draw cannot be split: the ziggurat takes
-a data-dependent number of Philox words).  Each shard is summed over its
+Philox stream, byte for byte one draw, and submits each slice to the pool
+behind the W - 1 shards that pool threads draw and evaluate whole; after its
+draw it cancels, last first, the slices no pool thread has started and
+evaluates them itself (a draw cannot be split: the ziggurat takes a
+data-dependent number of Philox words).  Each shard is summed over its
 whole arrays, in shard order, so the bits hold for every W.  Usable CPUs
 are ``os.sched_getaffinity(0)``'s (Linux), else ``os.cpu_count()``; W = 1
 starts no thread.  Each evaluation sets its own ``np.errstate``, which a
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 SHARD_SIZE = 1 << 15
-CHUNK_SIZE = 1 << 12  # rows per slice of a window's first shard, the unit its threads claim
+CHUNK_SIZE = 1 << 12  # rows per slice of a window's first shard, one pool job each
 MAX_SAMPLES = 1 << 25
 """Largest sample count :func:`estimate_moment` accepts: 1024 shards.  The
 suite's largest estimate is a 4x retry of 10^6 samples."""
@@ -157,7 +158,6 @@ def estimate_moment(
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
     from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
 
     import numpy as np
 
@@ -203,20 +203,14 @@ def estimate_moment(
             wp = weights * values
             return tuple(float(a.sum()) for a in (weights, wp, weights * weights, weights * wp, wp * wp))
 
-    def help_head() -> None:
-        """Evaluate the first shard's slices as they are drawn, up to an end mark or an abort."""
-        while (rows := todo.get()) is not None and not aborted:
-            evaluate(*head, rows)
-
     def run_shard(shard: int) -> tuple[float, ...]:
-        """A pool thread's own shard, whole; then it helps evaluate the window's first."""
+        """A pool thread's shard: drawn, evaluated and summed whole."""
         own = arrays(shard)
         _shard_rng(seed, shard).standard_normal(out=own[0])
         evaluate(*own)
-        help_head()
         return sums(*own[1:])
 
-    # the caller draws each window's first shard in slices; pool threads run the rest, then help
+    # the caller draws each window's first shard in slices; pool threads run the rest, then the slices
     shards = -(-samples // SHARD_SIZE)
     # sched_getaffinity exists on Linux only; elsewhere every CPU counts
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -224,21 +218,21 @@ def estimate_moment(
     shard_stats: list[tuple[float, ...]] = []
     with ThreadPoolExecutor(max(width - 1, 1)) as pool:  # starts no thread when width is 1
         for first in range(0, shards, width):
-            head, todo, aborted = arrays(first), SimpleQueue(), False
+            head = arrays(first)
             rest = [pool.submit(run_shard, k) for k in range(first + 1, min(first + width, shards))]
-            rng = _shard_rng(seed, first)
-            try:
-                for lo in range(0, len(head[0]), CHUNK_SIZE):
-                    rng.standard_normal(out=head[0][lo:lo + CHUNK_SIZE])
-                    todo.put(slice(lo, lo + CHUNK_SIZE))
-            except BaseException:
-                aborted = True  # helpers drop the slices still queued
-                raise
-            finally:  # one end mark per thread of the window, so none waits for a slice never drawn
-                for _ in range(len(rest) + 1):
-                    todo.put(None)
-            help_head()
-            pooled = [f.result() for f in rest]  # a helper returns once its claimed slices are evaluated
+            rng, jobs = _shard_rng(seed, first), []
+            for lo in range(0, len(head[0]), CHUNK_SIZE):
+                rows = slice(lo, lo + CHUNK_SIZE)
+                rng.standard_normal(out=head[0][rows])
+                jobs.append((rows, pool.submit(evaluate, *head, rows) if rest else None))
+            # the executor's queue is first in, first out, so walking back from the last
+            # slice the caller takes back each one no pool thread has started
+            for rows, job in reversed(jobs):
+                if job is None or job.cancel():
+                    evaluate(*head, rows)
+                else:
+                    job.result()
+            pooled = [f.result() for f in rest]
             for shard, stats in enumerate([sums(*head[1:]), *pooled], first):
                 if not all(map(math.isfinite, stats)):
                     raise NumericError(f"the sample sums of shard {shard} leave the float range")

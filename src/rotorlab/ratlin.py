@@ -36,7 +36,7 @@ def is_symmetric(m: Sequence[Sequence[object]]) -> bool:
 
 def scaled(m: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     """Integer matrix D * m and D, the lcm of its denominators; m square, symmetric."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
+    rows = [[x if isinstance(x, (int, Fraction)) else frac(x) for x in row] for row in m]
     if any(len(row) != len(rows) for row in rows):
         raise InputError("matrix must be square")
     if not is_symmetric(rows):

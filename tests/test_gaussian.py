@@ -401,7 +401,11 @@ def test_covariance_runs_one_elimination(monkeypatch):
 @pytest.mark.parametrize("cov,message", [
     ([[1, 0], [0]], "matrix must be square"),
     ([[1, Fraction(1, 2)], [0, 1]], "matrix is not symmetric"),
-], ids=["ragged", "asymmetric"])
+    ([[1, 0], [0, float("nan")]], "not a rational number: nan"),
+    ([[float("inf"), 0], [0, 1]], "not a rational number: inf"),
+    ([[1, "abc"], ["abc", 1]], "not a rational number: 'abc'"),
+    ([[1, 0], [0, None]], "not a rational number: None"),
+], ids=["ragged", "asymmetric", "nan", "inf", "text", "none"])
 @pytest.mark.parametrize("engine", [
     lambda cov: gaussian_moment(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), cov),
     lambda cov: vector_moment([(0, 1), (0, 1)], cov, 2),

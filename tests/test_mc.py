@@ -336,7 +336,8 @@ def test_windows_of_any_width_give_the_recorded_bits(monkeypatch, source, cpus):
     # 200,000 samples are 7 shards: 3 CPUs run windows of 3 + 3 + 1 shards, 4
     # run 4 + 3, 5 run 5 + 2 and 8 one window of 7.  Without sched_getaffinity
     # the width follows os.cpu_count(), and a count of None runs every shard
-    # on the caller.  Pool threads run every shard but the first of a window.
+    # on the caller.  Pool threads run every shard but the first of a window,
+    # then that shard's slices, which are submitted as (raw, values, weights, rows).
     widths, submitted = [], []
     init, submit = ThreadPoolExecutor.__init__, ThreadPoolExecutor.submit
 
@@ -344,9 +345,10 @@ def test_windows_of_any_width_give_the_recorded_bits(monkeypatch, source, cpus):
         widths.append(max_workers)
         init(self, max_workers, *args, **kwargs)
 
-    def spy_submit(self, fn, shard):
-        submitted.append(shard)
-        return submit(self, fn, shard)
+    def spy_submit(self, fn, *args):
+        if len(args) == 1:  # a shard, not a slice
+            submitted.append(args[0])
+        return submit(self, fn, *args)
 
     monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy_init)
     monkeypatch.setattr(ThreadPoolExecutor, "submit", spy_submit)
@@ -443,8 +445,8 @@ def _run_with_timeout(fn, seconds=60.0):
 
 
 def test_a_failed_draw_releases_the_helpers(monkeypatch):
-    # a draw that fails on shard 0's second slice, while the pool thread waits
-    # for that slice, ends the estimate with its error: no hang, no stray thread
+    # a draw that fails on shard 0's second slice, after the pool thread took
+    # the first, ends the estimate with its error: no hang, no stray thread
     before = set(threading.enumerate())
     helped, _ = _hold_shard_0_until_helped(monkeypatch)
     draws = []
@@ -486,6 +488,28 @@ def test_overflow_in_helped_slices_names_shard_0(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
+def test_an_error_in_a_helped_slice_reaches_the_caller(monkeypatch):
+    # a slice of shard 0 that the pool thread evaluates fails after its
+    # evaluation: the estimate raises that very error, with no stray thread
+    before = set(threading.enumerate())
+    helped, helping = _hold_shard_0_until_helped(monkeypatch)
+    evaluate_poly, raised = mc._evaluate_poly, []
+
+    def fail_on_pool(p, spins):
+        values = evaluate_poly(p, spins)
+        if helping(spins):
+            raised.append(RuntimeError("evaluation failed"))
+            raise raised[-1]
+        return values
+
+    monkeypatch.setattr(mc, "_evaluate_poly", fail_on_pool)
+    p = _chain(ModelDims(3, 3), SPHERE)
+    error = _run_with_timeout(lambda: estimate_moment(p, 50_000, seed=1))
+    assert any(error is exc for exc in raised)
+    assert helped.is_set()
+    assert set(threading.enumerate()) == before
+
+
 @pytest.mark.parametrize("chunk", [1_000, 4_096, mc.SHARD_SIZE])
 def test_slice_size_does_not_change_the_bits(monkeypatch, chunk):
     monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
@@ -494,8 +518,9 @@ def test_slice_size_does_not_change_the_bits(monkeypatch, chunk):
 
 
 def test_many_helpers_under_fast_switching_keep_the_bits(monkeypatch):
-    # 8 CPUs run a window of 7 shards, whose 6 pool threads share the 33
-    # slices of shard 0 through one queue; with the interpreter switching
+    # 8 CPUs run a window of 7 shards, whose 6 pool threads and the caller
+    # share the 33 slices of shard 0 (the caller cancels the jobs no pool
+    # thread has started and runs them itself); with the interpreter switching
     # threads every 10 us, a slice evaluated twice or never changes the bits
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(mc, "CHUNK_SIZE", 1_000)
