@@ -12,13 +12,13 @@ with covariance F^{-1} per vector component, so everything stays rational.
 
 The generator decomposes as A = (flat Laplacian) - (drift grad Q . grad)
 with Q = sum F_ij x_i.x_j / 2; one monomial map applies it.  The flat
-Laplacian is the one whose contraction rules the sphere operators are
-restricted from (:mod:`heat`).  On the dot-product algebra it lowers total
-degree by 2 (so its exponential is a finite series) and the drift
-preserves degree, which keeps every monomial inside a finite A-invariant
-subspace.  That subspace is built by the same engine as the sphere heat
-semigroup (:func:`heat.close_basis`, exact sparse columns, one float
-exponential).  The Trotter comparison runs on it too: split by total
+Laplacian is the per-site formula of :mod:`heat` taken as it stands, diagonal
+pairs v_ii included (the sphere Laplacian sets them to 1).  On the dot-product
+algebra it lowers total degree by 2 (so its exponential is a finite series)
+and the drift preserves degree, which keeps every monomial inside a finite
+A-invariant subspace.  That subspace is built by the same engine as the
+sphere heat semigroup (:func:`heat.close_basis`, exact sparse columns, one
+float exponential).  The Trotter comparison runs on it too: split by total
 degree, the generator's matrix is Delta (the entries that lower it) plus
 -drift (the entries that keep it), so the subspace is closed under each
 factor and a Trotter step is two matrix-vector products.

@@ -1,14 +1,16 @@
 """Spherical Laplacian, Dirichlet form and heat flow on the dot-product algebra.
 
-The second-order contraction rules are the flat ones for R^n-valued spins,
-with v_ab = x_a . x_b: Delta v_aa = 2n, Delta v_ab = 0 (a != b) and
-grad_i v_ab = [i=a] x_b + [i=b] x_a, extended by the Leibniz rule.  The
-Gaussian OU generator uses them as they stand; the sphere Laplacian
-restricts them to |x_i| = 1.  A monomial m of degree d_i in site i is
-homogeneous, so (Dai & Xu, Approximation Theory and Harmonic Analysis on
-Spheres and Balls, ch. 1), summing over the sites that m touches,
+One kernel gives the flat Laplacian on pair variables v_ab = x_a . x_b site
+by site (Dai & Xu, Approximation Theory and Harmonic Analysis on Spheres and
+Balls, ch. 1): at site i, with m = v_ii^c prod_{j != i} v_ij^{a_j} R and
+e = sum_j a_j,
 
-    lap m = (Delta m)|_{v_ii=1} - sum_i d_i (d_i + n - 2) m.
+    Delta_i m = 2c(2c + 2e + n - 2) m / v_ii + sum_j a_j (a_j - 1) v_jj m / v_ij^2
+                + 2 sum_{j<k} a_j a_k v_jk m / (v_ij v_ik).
+
+The Gaussian OU generator uses sum_i Delta_i as it stands.  On unit spins
+v_ii = v_jj = 1 (so c = 0), m has degree d_i = e in site i, and the sphere
+Laplacian is lap m = sum_i Delta_i m - sum_i d_i (d_i + n - 2) m.
 
 The gradient pairing follows from the Laplacian alone, by the carre du
 champ identity (Bakry, Gentil & Ledoux, Analysis and Geometry of Markov
@@ -47,9 +49,7 @@ from .algebra import (
     Weight,
     _add,
     apply_generator,
-    mono_div,
     mono_mul,
-    site_degrees,
 )
 from .errors import InputError, ResourceLimitError
 from .moments import sphere_moment
@@ -68,62 +68,52 @@ def _pair(i: int, j: int) -> Pair:
     return (i, j) if i <= j else (j, i)
 
 
-def _grad_contract(p: Pair, q: Pair) -> dict[Pair, int]:
-    """sum_i grad_i v_p . grad_i v_q as integer combinations of pair variables.
+def _site_laplacians(mono: Mono, n: int, sphere: bool) -> dict[Mono, int]:
+    """sum_i Delta_i m in one pass over each site's legs; with sphere, on unit spins."""
+    powers = dict(mono)
+    legs: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), a in mono:
+        legs.setdefault(i, [])
+        if i != j:
+            legs[i].append((j, a))
+            legs.setdefault(j, []).append((i, a))
+    out: dict[Mono, int] = {}
 
-    grad_i (x_a . x_b) = [i == a] x_b + [i == b] x_a, which makes a diagonal
-    v_aa contribute its factor of 2 automatically when (a, a) repeats in the
-    enumeration below.
-    """
-    a, b = p
-    c, d = q
-    out: dict[Pair, int] = {}
-    for left, right in ((a, b), (b, a)):
-        for cleft, cright in ((c, d), (d, c)):
-            if left == cleft:
-                key = _pair(right, cright)
-                out[key] = out.get(key, 0) + 1
+    def add(weight: int, lowered: tuple[Pair, ...], raised: Pair | None) -> None:
+        table = dict(powers)
+        for pair in lowered:
+            table[pair] -= 1
+            if not table[pair]:
+                del table[pair]
+        if raised:
+            table[raised] = table.get(raised, 0) + 1
+        _add(out, tuple(sorted(table.items())), weight)
+
+    radial = 0
+    for i, site_legs in legs.items():
+        e = sum(a for _, a in site_legs)
+        if c := powers.get((i, i), 0):
+            add(2 * c * (2 * c + 2 * e + n - 2), ((i, i),), None)
+        for x, (j, a) in enumerate(site_legs):
+            ij = _pair(i, j)
+            if a >= 2:
+                add(a * (a - 1), (ij, ij), None if sphere else (j, j))
+            for k, b in site_legs[x + 1:]:
+                add(2 * a * b, (ij, _pair(i, k)), _pair(j, k))
+        radial -= e * (e + n - 2)
+    if sphere:
+        _add(out, mono, radial)
     return out
 
 
 def _flat_laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, int]:
-    """Flat Laplacian over all sites; lowers total degree by exactly 2.
-
-    Delta v_ii = 2n and Delta v_ij = 0 for i != j; the second-order Leibniz
-    terms go through :func:`_grad_contract`.  Every weight is an integer.
-    """
-    n = dims.n
-    out: dict[Mono, int] = {}
-    pairs = list(mono)
-    for (a, b), e in pairs:
-        if a == b:
-            _add(out, mono_div(mono, (a, b)), 2 * n * e)
-    for idx1, (p, e1) in enumerate(pairs):
-        if e1 >= 2:
-            base = mono_div(mono, p, 2)
-            for bridge_pair, w in _grad_contract(p, p).items():
-                _add(out, mono_mul(base, ((bridge_pair, 1),)), e1 * (e1 - 1) * w)
-        for q, e2 in pairs[idx1 + 1:]:
-            contract = _grad_contract(p, q)
-            if contract:
-                base = mono_div(mono_div(mono, p), q)
-                for bridge_pair, w in contract.items():
-                    _add(out, mono_mul(base, ((bridge_pair, 1),)), 2 * e1 * e2 * w)
-    return out
-
-
-def _on_sphere(mono: Mono) -> Mono:
-    """Restrict to unit spins: every diagonal pair v_ii = |sigma_i|^2 becomes 1."""
-    return tuple(item for item in mono if item[0][0] != item[0][1])
+    """Flat Laplacian over all sites; lowers total degree by exactly 2."""
+    return _site_laplacians(mono, dims.n, sphere=False)
 
 
 def _laplacian_mono(mono: Mono, dims: ModelDims) -> dict[Mono, int]:
-    """(Flat Laplacian)|_{v_ii = 1} - sum_i d_i (d_i + n - 2) on a degree-(d_i) monomial."""
-    out: dict[Mono, int] = {}
-    for flat_mono, weight in _flat_laplacian_mono(mono, dims).items():
-        _add(out, _on_sphere(flat_mono), weight)
-    _add(out, mono, -sum(d * (d + dims.n - 2) for d in site_degrees(mono).values()))
-    return out
+    """Spherical Laplacian over all sites, on unit spins."""
+    return _site_laplacians(mono, dims.n, sphere=True)
 
 
 def laplacian(p: DotPolynomial) -> DotPolynomial:
@@ -288,9 +278,9 @@ def correlation_flow(
     mat, vec = sg.as_float(), sg.vector(g)
     import numpy as np
 
-    moments = np.array(
-        [float(sphere_moment(DotPolynomial(f.dims, SPHERE, {mono: 1}) * f)) for mono in sg.basis]
-    )
+    # multiplying by one monomial is injective, so each product is already canonical
+    products = ({mono_mul(mono, m): c for m, c in f.terms.items()} for mono in sg.basis)
+    moments = np.array([float(sphere_moment(DotPolynomial._raw(f.dims, SPHERE, t))) for t in products])
     values = [float(moments @ (expm(mat, t) @ vec)) for t in ts]
     limit = float(sphere_moment(f) * sphere_moment(g))
     slack = 1e-12 * max(1.0, abs(values[0]))

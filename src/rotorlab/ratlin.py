@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import frac
+from .algebra import _is_int, frac
 from .errors import InputError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -36,7 +36,7 @@ def is_symmetric(m: Sequence[Sequence[object]]) -> bool:
 
 def scaled(m: Sequence[Sequence[object]]) -> tuple[IntMatrix, int]:
     """Integer matrix D * m and D, the lcm of its denominators; m square, symmetric."""
-    rows = [[x if isinstance(x, (int, Fraction)) else frac(x) for x in row] for row in m]
+    rows = [[x if _is_int(x) or isinstance(x, Fraction) else frac(x) for x in row] for row in m]
     if any(len(row) != len(rows) for row in rows):
         raise InputError("matrix must be square")
     if not is_symmetric(rows):

@@ -46,6 +46,7 @@ from rotorlab.mc import estimate_moment
 from rotorlab.moments import radial_moment
 from rotorlab.numerics import fitted_order
 from rotorlab.wick import vector_moment
+from test_algebra import random_poly
 
 F2 = ferro_from_rows([[2, -1], [-1, 2]])
 
@@ -405,7 +406,8 @@ def test_covariance_runs_one_elimination(monkeypatch):
     ([[float("inf"), 0], [0, 1]], "not a rational number: inf"),
     ([[1, "abc"], ["abc", 1]], "not a rational number: 'abc'"),
     ([[1, 0], [0, None]], "not a rational number: None"),
-], ids=["ragged", "asymmetric", "nan", "inf", "text", "none"])
+    ([[True, 0], [0, True]], "not a rational number: True"),
+], ids=["ragged", "asymmetric", "nan", "inf", "text", "none", "bool"])
 @pytest.mark.parametrize("engine", [
     lambda cov: gaussian_moment(variable(ModelDims(2, 2), 1, 2, mode=GAUSSIAN), cov),
     lambda cov: vector_moment([(0, 1), (0, 1)], cov, 2),
@@ -676,6 +678,46 @@ def test_gaussian_laplacian_examples(n):
         variable(dims, 1, 1, mode=GAUSSIAN) + variable(dims, 2, 2, mode=GAUSSIAN)
     )
 
+
+
+def coordinate_expansion(p):
+    """p as a polynomial in the coordinates x_{a,k} (site a, component k), with
+    v_ab = sum_k x_{a,k} x_{b,k}: {exponents over (a, k): coefficient}."""
+    n, size = p.dims.n, p.dims.sites * p.dims.n
+    out = {}
+    for mono, coeff in p.terms.items():
+        expanded = {(0,) * size: coeff}
+        for (a, b), power in mono:
+            for _ in range(power):
+                grown = {}
+                for exps, c in expanded.items():
+                    for k in range(n):
+                        key = list(exps)
+                        key[(a - 1) * n + k] += 1
+                        key[(b - 1) * n + k] += 1
+                        grown[tuple(key)] = grown.get(tuple(key), 0) + c
+                expanded = grown
+        for exps, c in expanded.items():
+            out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flat_laplacian_matches_coordinate_second_derivatives(n):
+    # sum_{a,k} d^2/dx_{a,k}^2 on the coordinate expansion: an oracle that shares
+    # no contraction rule with the kernel, and sees the Gram relations among the v_ab
+    rng = random.Random(600 + n)
+    for _ in range(30):
+        dims = ModelDims(n, rng.randint(1, 3))
+        p = random_poly(dims, GAUSSIAN, rng, terms=3, budget=4)
+        expected = {}
+        for exps, c in coordinate_expansion(p).items():
+            for v, e in enumerate(exps):
+                if e >= 2:
+                    key = exps[:v] + (e - 2,) + exps[v + 1:]
+                    expected[key] = expected.get(key, 0) + c * e * (e - 1)
+        assert coordinate_expansion(gaussian_laplacian(p)) == {
+            exps: c for exps, c in expected.items() if c}
 
 def test_drift_example():
     dims = ModelDims(2, 2)

@@ -1,5 +1,6 @@
 """Heat semigroup: Laplacian rules, Dirichlet positivity, flows, eigenchecks."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -208,6 +209,42 @@ def test_invariant_basis_examples(n):
     sg3 = build_invariant_basis(one(dims))
     assert sg3.basis == ((),) and entry(sg3, 0, 0) == Fraction(0)
 
+
+
+def _gegenbauer(dims, l, i, j):
+    u = variable(dims, i, j)
+    return sum((c * u ** k for k, c in enumerate(gegenbauer_coefficients(dims.n, l))),
+               constant(dims, 0))
+
+
+def _cycle_product(dims):
+    p = variable(dims, 1, 2)
+    for i, j in ((2, 3), (3, 4), (4, 5), (1, 5), (1, 3), (2, 4)):
+        p = p * variable(dims, i, j)
+    return p
+
+
+D34, D25, D23G = ModelDims(3, 4), ModelDims(3, 5), ModelDims(2, 3)
+
+
+@pytest.mark.parametrize("build,size,digest", [
+    (lambda: build_invariant_basis(_cycle_product(D25)), 117,
+     "93ef159e005efcceeea3cf0b8d3236900f74cd17c583332f12f7a8f5038d9478"),
+    (lambda: ou_invariant_basis(
+        variable(D23G, 1, 2, 2, mode=GAUSSIAN) * variable(D23G, 3, 3, mode=GAUSSIAN)
+        + variable(D23G, 2, 3, mode=GAUSSIAN),
+        ferro_from_rows([[2, -1, 0], [-1, 3, -1], [0, -1, 2]])), 84,
+     "440622de70f63228532a11b2ed67153cf911ad3eb96d5d14a64bb1dfe81b37fd"),
+    (lambda: build_invariant_basis(_gegenbauer(D34, 4, 1, 2) * _gegenbauer(D34, 3, 3, 4)), 6,
+     "e0052689db6685128b5a78bce25627de0126f8343ee01e1b76a1c7a5e6f73764"),
+], ids=["sphere-cycle", "ou", "gegenbauer-product"])
+def test_closures_are_pinned(build, size, digest):
+    # the basis order and every exact column, so the dense generator and each
+    # expm input, are held bit for bit (weights keep their int or Fraction type)
+    sg = build()
+    text = repr((sg.basis, [sorted(column.items()) for column in sg.columns]))
+    assert len(sg.basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 def test_basis_cap(monkeypatch):
     """Closure stops as soon as the basis outgrows the dense budget, before the rest of
